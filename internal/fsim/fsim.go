@@ -83,8 +83,8 @@ type FileSystem struct {
 	cfg      Config
 	files    map[string]*File
 	nextFree int64
-	cache    *ioreq.LRU[int64]
-	rng      *rand.Rand // latched at New from the construction-cursor domain
+	cache    *ioreq.PageLRU // device pages, all in space 0
+	rng      *rand.Rand     // latched at New from the construction-cursor domain
 
 	moved int64 // bytes actually transferred to/from the device
 
@@ -108,7 +108,7 @@ func New(e *sim.Engine, dev device.Device, cfg Config) *FileSystem {
 		rng:   e.Rand(),
 	}
 	if cfg.CacheBytes > 0 {
-		fs.cache = ioreq.NewLRU[int64](cfg.CacheBytes / cfg.BlockSize)
+		fs.cache = ioreq.NewPageLRU(cfg.CacheBytes / cfg.BlockSize)
 	}
 	if cfg.WriteBack {
 		if fs.cache == nil {
@@ -191,9 +191,7 @@ func (fs *FileSystem) flusher(p *sim.Proc) {
 			// The flusher ignores individual write errors (as the kernel
 			// does for async write-back); data is still marked clean.
 			_ = fs.dev.Access(p, device.Request{Offset: pages[i] * bs, Size: n, Write: true})
-			for _, pg := range pages[i : j+1] {
-				fs.cache.Insert(pg)
-			}
+			fs.cache.InsertRange(0, pages[i], pages[j]+1)
 			i = j + 1
 		}
 		if len(fs.dirty) == 0 {
@@ -378,7 +376,7 @@ func (f *File) allCached(off, size int64) bool {
 			n = runLen
 		}
 		for pg := devOff / bs; pg <= (devOff+n-1)/bs; pg++ {
-			if !f.fs.cache.Contains(pg) && !f.fs.isDirty(pg) {
+			if !f.fs.cache.Contains(0, pg) && !f.fs.isDirty(pg) {
 				return false
 			}
 		}
@@ -485,9 +483,7 @@ func (fs *FileSystem) cachedTransfer(p *sim.Proc, devOff, size int64, write bool
 		if err := fs.dev.Access(p, device.Request{Offset: devOff, Size: size, Write: true}); err != nil {
 			return err
 		}
-		for pg := first; pg <= last; pg++ {
-			fs.cache.Insert(pg)
-		}
+		fs.cache.InsertRange(0, first, last+1)
 		return nil
 	}
 
@@ -503,14 +499,12 @@ func (fs *FileSystem) cachedTransfer(p *sim.Proc, devOff, size int64, write bool
 		if err := fs.dev.Access(p, device.Request{Offset: start, Size: n}); err != nil {
 			return err
 		}
-		for pg := missStart; pg < endPage; pg++ {
-			fs.cache.Insert(pg)
-		}
+		fs.cache.InsertRange(0, missStart, endPage)
 		missStart = -1
 		return nil
 	}
 	for pg := first; pg <= last; pg++ {
-		if fs.cache.Lookup(pg) || fs.isDirty(pg) {
+		if fs.cache.Lookup(0, pg) || fs.isDirty(pg) {
 			if err := flushMisses(pg); err != nil {
 				return err
 			}

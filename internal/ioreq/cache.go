@@ -40,12 +40,6 @@ func (c CacheConfig) withDefaults() CacheConfig {
 	return c
 }
 
-// pageKey identifies one cached page across files.
-type pageKey struct {
-	file string
-	page int64
-}
-
 // cacheMaxStreams bounds the per-file sequential-cursor table (matching
 // the fsim read-ahead tracker): enough for every interleaved client
 // stream in the modeled workloads, tiny enough to scan linearly.
@@ -86,6 +80,13 @@ func (s *cacheStreams) advance(off, end int64) bool {
 	return false
 }
 
+// cacheFile is the cache's per-file state: the file's page space in the
+// shared LRU and its sequential read cursors.
+type cacheFile struct {
+	space   uint32
+	streams cacheStreams
+}
+
 // Cache is a client-side shared page cache with sequential read-ahead —
 // the layer the pipeline refactor makes composable: it sits in front of
 // the pfs client layer and serves re-read pages at memory speed without
@@ -100,9 +101,9 @@ func (s *cacheStreams) advance(off, end int64) bool {
 // ID), so a partially cached range still reaches storage as few, large
 // accesses.
 type Cache struct {
-	cfg     CacheConfig
-	pages   *LRU[pageKey]
-	streams map[string]*cacheStreams
+	cfg   CacheConfig
+	pages *PageLRU
+	files map[string]*cacheFile
 
 	hits      uint64 // requested pages served from cache
 	misses    uint64 // requested pages fetched downstream
@@ -124,9 +125,9 @@ func NewCache(cfg CacheConfig) *Cache {
 		capPages = 1
 	}
 	return &Cache{
-		cfg:     cfg,
-		pages:   NewLRU[pageKey](capPages),
-		streams: make(map[string]*cacheStreams),
+		cfg:   cfg,
+		pages: NewPageLRU(capPages),
+		files: make(map[string]*cacheFile),
 	}
 }
 
@@ -184,20 +185,22 @@ type cacheLayer struct {
 // Serve implements Layer.
 func (l *cacheLayer) Serve(p *sim.Proc, req *Request) error {
 	c := l.c
+	f := c.fileFor(req.File)
 	if req.Op == OpWrite {
 		// Write-through: the write pays full downstream cost, then the
 		// written pages are cache-resident for later readers.
 		if err := l.next.Serve(p, req); err != nil {
 			return err
 		}
-		c.insertRange(req.File, req.Off, req.End())
+		ps := c.cfg.PageSize
+		c.pages.InsertRange(f.space, req.Off/ps, (req.End()-1)/ps+1)
 		return nil
 	}
 
 	off, end := req.Off, req.End()
 	fetchEnd := end
-	seq := c.streamFor(req.File).advance(off, end)
-	if c.cfg.ReadAhead > 0 && (seq || off == 0) && !c.allCached(req.File, off, end) {
+	seq := f.streams.advance(off, end)
+	if c.cfg.ReadAhead > 0 && (seq || off == 0) && !c.allCached(f.space, off, end) {
 		fetchEnd = end + c.cfg.ReadAhead
 		if fetchEnd > l.size {
 			fetchEnd = l.size
@@ -226,14 +229,12 @@ func (l *cacheLayer) Serve(p *sim.Proc, req *Request) error {
 			return err
 		}
 		c.missBytes += hi - lo
-		for pg := start; pg < endPage; pg++ {
-			c.pages.Insert(pageKey{req.File, pg})
-		}
+		c.pages.InsertRange(f.space, start, endPage)
 		return nil
 	}
 
 	for pg := first; pg <= last; pg++ {
-		if c.pages.Lookup(pageKey{req.File, pg}) {
+		if c.pages.Lookup(f.space, pg) {
 			if err := flush(pg); err != nil {
 				return err
 			}
@@ -272,35 +273,27 @@ func (l *cacheLayer) Serve(p *sim.Proc, req *Request) error {
 	return nil
 }
 
-// streamFor returns the file's sequential-cursor table, creating it on
-// first use.
-func (c *Cache) streamFor(file string) *cacheStreams {
-	s, ok := c.streams[file]
+// fileFor returns the file's cache state, giving it the next page space
+// on first use.
+func (c *Cache) fileFor(name string) *cacheFile {
+	f, ok := c.files[name]
 	if !ok {
-		s = &cacheStreams{}
-		c.streams[file] = s
+		f = &cacheFile{space: uint32(len(c.files))}
+		c.files[name] = f
 	}
-	return s
+	return f
 }
 
 // allCached reports whether every page of [off, end) is resident,
 // without touching recency or counters.
-func (c *Cache) allCached(file string, off, end int64) bool {
+func (c *Cache) allCached(space uint32, off, end int64) bool {
 	ps := c.cfg.PageSize
 	for pg := off / ps; pg <= (end-1)/ps; pg++ {
-		if !c.pages.Contains(pageKey{file, pg}) {
+		if !c.pages.Contains(space, pg) {
 			return false
 		}
 	}
 	return true
-}
-
-// insertRange marks every page overlapping [off, end) resident.
-func (c *Cache) insertRange(file string, off, end int64) {
-	ps := c.cfg.PageSize
-	for pg := off / ps; pg <= (end-1)/ps; pg++ {
-		c.pages.Insert(pageKey{file, pg})
-	}
 }
 
 // overlap returns the byte overlap of [alo, ahi) and [blo, bhi).

@@ -87,28 +87,28 @@ func TestRequestValidate(t *testing.T) {
 }
 
 func TestLRUEvictionAndCounters(t *testing.T) {
-	c := NewLRU[int](2)
-	c.Insert(1)
-	c.Insert(2)
-	if !c.Lookup(1) { // 1 becomes most recent
-		t.Fatal("missing key 1")
+	c := NewPageLRU(2)
+	c.Insert(0, 1)
+	c.Insert(0, 2)
+	if !c.Lookup(0, 1) { // 1 becomes most recent
+		t.Fatal("missing page 1")
 	}
-	c.Insert(3) // evicts 2
-	if c.Contains(2) {
-		t.Fatal("LRU kept the least-recent key")
+	c.Insert(0, 3) // evicts 2
+	if c.Contains(0, 2) {
+		t.Fatal("LRU kept the least-recent page")
 	}
-	if !c.Contains(1) || !c.Contains(3) || c.Len() != 2 {
+	if !c.Contains(0, 1) || !c.Contains(0, 3) || c.Len() != 2 {
 		t.Fatalf("unexpected contents, len=%d", c.Len())
 	}
-	if c.Lookup(2) {
-		t.Fatal("evicted key still hits")
+	if c.Lookup(0, 2) || c.Contains(1, 1) {
+		t.Fatal("evicted page still hits, or spaces share pages")
 	}
 	if c.Hits() != 1 || c.Misses() != 1 {
 		t.Fatalf("hits/misses = %d/%d, want 1/1", c.Hits(), c.Misses())
 	}
 	c.Reset()
 	if c.Len() != 0 || c.Hits() != 1 {
-		t.Fatal("Reset must drop keys but keep counters")
+		t.Fatal("Reset must drop pages but keep counters")
 	}
 }
 

@@ -19,6 +19,7 @@ package ingest
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"bps/internal/ioreq"
@@ -92,8 +93,9 @@ func (l *Log) sortSegments() {
 	})
 }
 
-// Validate checks segment sanity (positive lengths, end ≥ start,
-// non-negative offsets) and, when the recognized per-rank counters are
+// Validate checks segment sanity (positive lengths, finite times with
+// end ≥ start, non-negative offsets with no int64 overflow at the end)
+// and, when the recognized per-rank counters are
 // present, cross-checks them against the segment list: operation counts
 // and byte totals must match exactly, so a log whose trace was truncated
 // relative to its counters is rejected.
@@ -107,6 +109,10 @@ func (l *Log) Validate() error {
 			return fmt.Errorf("ingest: segment %d: length %d must be positive", i, s.Length)
 		case s.Offset < 0:
 			return fmt.Errorf("ingest: segment %d: negative offset %d", i, s.Offset)
+		case s.Offset > math.MaxInt64-s.Length:
+			return fmt.Errorf("ingest: segment %d: offset %d + length %d overflows int64", i, s.Offset, s.Length)
+		case math.IsNaN(s.Start) || math.IsNaN(s.End) || math.IsInf(s.Start, 0) || math.IsInf(s.End, 0):
+			return fmt.Errorf("ingest: segment %d: non-finite interval [%g, %g]", i, s.Start, s.End)
 		case s.Start < 0 || s.End < s.Start:
 			return fmt.Errorf("ingest: segment %d: bad interval [%g, %g]", i, s.Start, s.End)
 		}

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -47,11 +48,16 @@ func TestValidateRejectsBadSegments(t *testing.T) {
 		{Rank: 0, File: "f", Offset: -1, Length: 1, End: 1}, // negative offset
 		{Rank: 0, File: "f", Length: 1, Start: 2, End: 1},   // end before start
 		{Rank: 0, File: "f", Length: 1, Start: -1, End: 1},  // negative start
+		{Rank: 0, File: "f", Length: 1, Start: math.NaN(), End: 1},
+		{Rank: 0, File: "f", Length: 1, Start: 0, End: math.NaN()},
+		{Rank: 0, File: "f", Length: 1, Start: 0, End: math.Inf(1)},
+		{Rank: 0, File: "f", Offset: 9223372036854775800, Length: 4096, End: 1}, // end overflows
 	}
+	good := Segment{Rank: 0, File: "f", Length: 1, End: 1}
 	for i, s := range cases {
-		l := &Log{Segments: []Segment{s}}
-		if err := l.Validate(); err == nil {
-			t.Errorf("case %d: bad segment %+v passed validation", i, s)
+		l := &Log{Segments: []Segment{good, s}}
+		if err := l.Validate(); err == nil || !strings.Contains(err.Error(), "segment 1:") {
+			t.Errorf("case %d: bad segment %+v: got %v, want an error naming segment 1", i, s, err)
 		}
 	}
 	if err := (&Log{}).Validate(); err == nil {

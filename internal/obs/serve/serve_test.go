@@ -391,17 +391,34 @@ func TestStreamEviction(t *testing.T) {
 		t.Fatalf("first SSE line %q (err %v), want snapshot event", line, err)
 	}
 
-	// Stop reading and flood: buffer (256) + DropLimit misses evict us.
-	for i := 0; i < 256+DropLimit+16; i++ {
-		pub.broadcast([]event{{kind: "window", data: []byte("{}")}})
+	// Stop reading and flood. The handler keeps draining its buffer
+	// (256) into the socket until the socket buffers fill, so only then
+	// can DropLimit misses in a row evict us: flood with 4 KiB events
+	// until the publisher drops the subscriber.
+	data := []byte(`{"pad":"` + strings.Repeat("x", 4096) + `"}`)
+	deadline := time.Now().Add(30 * time.Second)
+	for pub.Subscribers() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("a consumer that stopped reading was never evicted")
+		}
+		pub.broadcast([]event{{kind: "window", data: data}})
 	}
 	// The handler drains the buffered prefix into the response, appends
 	// the eviction notice, and returns; the body must therefore end.
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<22))
-	if err != nil {
-		t.Fatalf("reading post-eviction body: %v", err)
+	evicted := false
+	for {
+		line, err := br.ReadString('\n')
+		if strings.TrimSpace(line) == "event: evicted" {
+			evicted = true
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("reading post-eviction body: %v", err)
+		}
 	}
-	if !strings.Contains(string(body), "event: evicted") {
+	if !evicted {
 		t.Error("evicted stream did not receive the eviction notice")
 	}
 	if pub.Dropped() < DropLimit {
