@@ -163,28 +163,38 @@ func errorPattern(t *testing.T, e *sim.Engine, dev device.Device, n int) []bool 
 	return out
 }
 
-// TestEveryNthMatchesDeprecatedShim locks the replacement to the shim it
-// deprecates: identical error pattern and identical Stats accounting.
+// TestEveryNthMatchesDeprecatedShim holds EveryNth to the contract of the
+// device.FaultInjector shim it replaced (now deleted), so stacks ported off
+// the shim keep their fault pattern: request numbers k·3 fail (1-based), a
+// failed request still consumed its full service, Stats counts the faults
+// as Errors, the name marks the wrapper, and every == 0 disables injection.
 func TestEveryNthMatchesDeprecatedShim(t *testing.T) {
 	const n = 32
-	e1 := sim.NewEngine(1)
-	old := device.NewFaultInjector(device.NewRAMDisk(e1, "ram", 1<<30, sim.Microsecond, 1e9), 3)
-	oldPat := errorPattern(t, e1, old, n)
-
-	e2 := sim.NewEngine(1)
-	neu := NewEveryNth(device.NewRAMDisk(e2, "ram", 1<<30, sim.Microsecond, 1e9), 3)
-	newPat := errorPattern(t, e2, neu, n)
-
-	for i := range oldPat {
-		if oldPat[i] != newPat[i] {
-			t.Fatalf("access %d: shim failed=%v, EveryNth failed=%v", i, oldPat[i], newPat[i])
+	e := sim.NewEngine(1)
+	dev := NewEveryNth(device.NewRAMDisk(e, "ram", 1<<30, sim.Microsecond, 1e9), 3)
+	pat := errorPattern(t, e, dev, n)
+	for i, failed := range pat {
+		if want := (i+1)%3 == 0; failed != want {
+			t.Fatalf("access %d: failed=%v, want %v", i, failed, want)
 		}
 	}
-	if old.Stats().Errors != neu.Stats().Errors || neu.Stats().Errors != n/3 {
-		t.Fatalf("errors: shim=%d EveryNth=%d, want %d", old.Stats().Errors, neu.Stats().Errors, n/3)
+	s := dev.Stats()
+	if s.Errors != n/3 {
+		t.Fatalf("Stats.Errors = %d, want %d", s.Errors, n/3)
 	}
-	if old.Name() != neu.Name() {
-		t.Errorf("names differ: %q vs %q", old.Name(), neu.Name())
+	if s.Reads != n || s.BytesRead != n*4096 {
+		t.Fatalf("stats = %+v, faulted ops should still be serviced", s)
+	}
+	if got := dev.Name(); got != "ram+faults" {
+		t.Errorf("Name = %q, want %q", got, "ram+faults")
+	}
+
+	e0 := sim.NewEngine(1)
+	off := NewEveryNth(device.NewRAMDisk(e0, "ram", 1<<30, sim.Microsecond, 1e9), 0)
+	for i, failed := range errorPattern(t, e0, off, 8) {
+		if failed {
+			t.Fatalf("every=0: access %d failed", i)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bps/internal/device"
+	"bps/internal/faults"
 	"bps/internal/netsim"
 	"bps/internal/sim"
 )
@@ -255,7 +256,7 @@ func TestDirectPathJoinsAllServerErrors(t *testing.T) {
 	devs := make([]device.Device, 2)
 	for i := range devs {
 		// Every access fails after full service time.
-		devs[i] = device.NewFaultInjector(device.NewRAMDisk(e, "ram", 16<<30, 10*sim.Microsecond, 500e6), 1)
+		devs[i] = faults.NewEveryNth(device.NewRAMDisk(e, "ram", 16<<30, 10*sim.Microsecond, 500e6), 1)
 	}
 	c := NewCluster(e, fabric, Config{}, devs)
 	cl := c.NewClient("client0")

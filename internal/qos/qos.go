@@ -445,12 +445,12 @@ type TenantReport struct {
 	// attrib estimator (exact per-window busy union).
 	Windows []attrib.Window `json:"windows,omitempty"`
 
-	Delayed      int64   `json:"delayed"`        // requests the throttle delayed
-	DelaySeconds float64 `json:"delay_seconds"`  // total simulated delay injected
-	Shed         int64   `json:"shed"`           // requests rejected in shed mode
-	Throttled    bool    `json:"throttled"`      // still rate-limited at run end
-	RateLimit    float64 `json:"rate_limit"`     // blocks/s limit at run end (0 = none)
-	Score        Score   `json:"score"`          // interference rating
+	Delayed      int64   `json:"delayed"`       // requests the throttle delayed
+	DelaySeconds float64 `json:"delay_seconds"` // total simulated delay injected
+	Shed         int64   `json:"shed"`          // requests rejected in shed mode
+	Throttled    bool    `json:"throttled"`     // still rate-limited at run end
+	RateLimit    float64 `json:"rate_limit"`    // blocks/s limit at run end (0 = none)
+	Score        Score   `json:"score"`         // interference rating
 }
 
 // Report is the controller's end-of-run summary.

@@ -85,8 +85,8 @@ func BenchmarkEngineCalendarDepth100k(b *testing.B) {
 	}
 }
 
-// BenchmarkProcSleep measures a full park/unpark round trip: the
-// channel handshake plus the wake event, which dominates every
+// BenchmarkProcSleep measures a full park/unpark round trip: two
+// coroutine switches plus the wake event, which dominates every
 // device-service and think-time wait in a workload run.
 func BenchmarkProcSleep(b *testing.B) {
 	e := NewEngine(1)
@@ -99,6 +99,25 @@ func BenchmarkProcSleep(b *testing.B) {
 	})
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkProcSpawn measures the process lifecycle: each iteration runs
+// a fresh engine whose 64 processes each sleep once and end, so it
+// prices the start event, the coroutine set-up and the retirement of a
+// finished process. Most of its allocations are the per-process state
+// and closures of iter.Pull.
+func BenchmarkProcSpawn(b *testing.B) {
+	const procs = 64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := NewEngine(1)
+		for j := 0; j < procs; j++ {
+			e.Spawn("p", func(p *Proc) { p.Sleep(Nanosecond) })
+		}
+		if err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -102,23 +102,17 @@ type domain struct {
 	nevents uint64
 	fg      int // scheduled foreground events still in the calendar
 
-	// yield is the proc→domain handshake: whichever process goroutine is
-	// currently running signals on yield exactly once when it parks or
-	// terminates, returning control to the dispatch loop.
-	yield chan struct{}
-
 	// live tracks spawned processes that have not yet terminated, so that
 	// Run can detect deadlock (live procs but an empty calendar).
 	live map[*Proc]struct{}
 
 	// procs tracks every unfinished process (including daemons), so
-	// Shutdown can unwind parked goroutines.
+	// Shutdown can unwind parked ones.
 	procs map[*Proc]struct{}
 
-	// trap carries a panic raised on a process goroutine back to the
-	// dispatching goroutine, where it re-panics inside Run — so simulation
-	// bugs surface on the caller's stack instead of crashing a detached
-	// goroutine.
+	// trap carries a panic raised in a process body out of its
+	// coroutine to the dispatch loop, where unpark re-panics inside Run —
+	// so simulation bugs surface on the caller's stack.
 	trap interface{}
 
 	// rng is created lazily from rngSeed (except for domain 0, which is
@@ -138,17 +132,6 @@ type domain struct {
 	outbox []mail
 	outSeq uint64
 	hpos   int
-}
-
-// waitYield blocks until the currently-running process parks or ends,
-// then re-raises any panic the process trapped.
-func (d *domain) waitYield() {
-	<-d.yield
-	if d.trap != nil {
-		t := d.trap
-		d.trap = nil
-		panic(t)
-	}
 }
 
 func (d *domain) schedule(t Time, fn func(), bg bool) {
@@ -273,7 +256,6 @@ type Engine struct {
 func NewEngine(seed int64) *Engine {
 	e := &Engine{seed: seed}
 	e.domain.eng = e
-	e.domain.yield = make(chan struct{})
 	e.domain.live = make(map[*Proc]struct{})
 	e.domain.procs = make(map[*Proc]struct{})
 	e.domain.rngSeed = seed
@@ -283,23 +265,22 @@ func NewEngine(seed int64) *Engine {
 	return e
 }
 
-// Shutdown unwinds every parked process goroutine (daemon worker loops,
+// Shutdown unwinds every parked process (daemon worker loops,
 // deadlocked processes) after the simulation has finished, so that
 // programs running many simulations do not accumulate blocked
-// goroutines. It must be called after Run/RunUntil has returned, from
-// the same goroutine; the engine must not be used afterwards.
+// coroutines. It must be called after Run/RunUntil has returned (or
+// panicked), from the same goroutine; the engine must not be used
+// afterwards.
 func (e *Engine) Shutdown() {
 	for _, d := range e.domains {
 		for p := range d.procs {
-			if !p.started {
-				// The start event never fired (RunUntil stopped early); there
-				// is no goroutine to unwind.
-				delete(d.procs, p)
-				delete(d.live, p)
-				continue
+			// A nil stop means the start event never fired (RunUntil
+			// stopped early): there is nothing to unwind.
+			if p.stop != nil {
+				p.stop() // park() panics with killed{}
 			}
-			p.resume <- true // park() panics with killed{}
-			d.waitYield()
+			delete(d.procs, p)
+			delete(d.live, p)
 		}
 	}
 }

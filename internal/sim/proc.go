@@ -2,24 +2,31 @@ package sim
 
 import "math/rand"
 
-// Proc is a simulation process: a Go function running on its own goroutine
-// under its domain's strict alternation discipline. At any instant either
-// the domain's dispatch loop or exactly one of its processes is executing;
-// control transfers happen only at park points (Sleep, Future.Wait,
-// Resource.Acquire, Queue ops). On a classic engine there is exactly one
-// domain, so this is the engine-wide single-runner guarantee; on a sharded
-// engine processes of different domains run concurrently but never touch
-// each other's state except through Proc.Post.
+// Proc is a simulation process: a Go function run as a coroutine of its
+// domain's dispatch loop (see coro.go). At any instant either the
+// dispatch loop or exactly one of its processes is executing; control
+// transfers happen only at park points (Sleep, Future.Wait,
+// Resource.Acquire, Queue ops), each a direct coroutine switch that
+// bypasses the Go scheduler. On a classic engine there is exactly one
+// domain, so this is the engine-wide single-runner guarantee; on a
+// sharded engine processes of different domains run concurrently but
+// never touch each other's state except through Proc.Post.
 //
 // A Proc must not be shared across goroutines and must only be used by the
 // body function it was created for.
 type Proc struct {
-	eng     *Engine
-	dom     *domain
-	name    string
-	resume  chan bool // true = killed by Shutdown
-	started bool
-	ctx     any // current request context (see SetCtx)
+	eng  *Engine
+	dom  *domain
+	name string
+	ctx  any // current request context (see SetCtx)
+
+	// next resumes the process until it parks (ok) or its body ends
+	// (!ok); stop unwinds it while parked; yield, called from the body,
+	// parks it. The start event sets all three, so a nil stop marks a
+	// process that never started.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
 	// live is non-nil for a detached live-measurement process (see
 	// LiveExec): the proc runs on an ordinary goroutine against a
@@ -124,65 +131,26 @@ func (e *Engine) SpawnAt(t Time, name string, body func(*Proc)) *Proc {
 
 // SpawnDaemon creates an infrastructure process (e.g. a server worker
 // loop) that is expected to block forever once the workload drains: it is
-// excluded from deadlock detection. Its goroutine remains parked when the
-// simulation ends.
+// excluded from deadlock detection. It remains parked when the simulation
+// ends, until Engine.Shutdown unwinds it.
 func (e *Engine) SpawnDaemon(name string, body func(*Proc)) *Proc {
 	return e.cur.spawn(e.cur.now, name, body, true)
 }
 
 func (d *domain) spawn(t Time, name string, body func(*Proc), daemon bool) *Proc {
 	e := d.eng
-	p := &Proc{eng: e, dom: d, name: name, resume: make(chan bool)}
+	p := &Proc{eng: e, dom: d, name: name}
 	if !daemon {
 		d.live[p] = struct{}{}
 	}
 	d.procs[p] = struct{}{}
 	d.schedule(t, func() {
-		p.started = true
 		if tr := e.tracer; tr != nil && !e.shardingOn {
 			tr.ProcStarted(p)
 		}
-		go func() {
-			defer func() {
-				// A Shutdown kill unwinds silently; real panics from the
-				// simulation program are trapped and re-raised on the
-				// dispatching goroutine inside Run.
-				if r := recover(); r != nil {
-					if _, ok := r.(killed); !ok {
-						d.trap = r
-					}
-				} else if tr := e.tracer; tr != nil && !e.shardingOn {
-					// Safe: the dispatch loop is blocked on yield below, so
-					// the tracer still sees serialized calls.
-					tr.ProcEnded(p)
-				}
-				delete(d.live, p) // safe: dispatch loop is blocked on yield below
-				delete(d.procs, p)
-				d.yield <- struct{}{}
-			}()
-			body(p)
-		}()
-		d.waitYield()
+		d.start(p, body)
 	}, false)
 	return p
-}
-
-// park suspends the calling process and returns control to its domain's
-// dispatch loop. The process stays suspended until some event callback
-// calls unpark, or Engine.Shutdown kills it.
-func (p *Proc) park() {
-	p.dom.yield <- struct{}{}
-	if <-p.resume {
-		panic(killed{})
-	}
-}
-
-// unpark transfers control from the dispatch loop to process p and blocks
-// until p parks again or terminates. It must be called only from an event
-// callback (dispatch context), never from another process.
-func (d *domain) unpark(p *Proc) {
-	p.resume <- false
-	d.waitYield()
 }
 
 // At schedules fn as a foreground event at absolute time t in p's

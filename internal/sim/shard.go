@@ -128,7 +128,6 @@ func (e *Engine) NewDomain(name string) int {
 		eng:     e,
 		id:      len(e.domains),
 		name:    name,
-		yield:   make(chan struct{}),
 		live:    make(map[*Proc]struct{}),
 		procs:   make(map[*Proc]struct{}),
 		rngSeed: deriveDomainSeed(e.seed, len(e.domains), name),

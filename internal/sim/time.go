@@ -2,8 +2,8 @@
 // used as the execution substrate for the simulated I/O stack.
 //
 // The engine is process-oriented in the style of SimPy: simulation
-// processes are ordinary Go functions running on goroutines, but the engine
-// guarantees that at most one process (or event callback) executes at a
+// processes are ordinary Go functions running as coroutines of the dispatch
+// loop, and the engine guarantees that at most one process (or event callback) executes at a
 // time and that execution order is fully determined by (event time, FIFO
 // sequence). Given the same seed and the same program, a simulation run is
 // bit-for-bit reproducible.

@@ -7,8 +7,8 @@ package sim
 // Every callback runs in simulation context — the engine serializes them
 // with event callbacks and process execution, so implementations need no
 // locking as long as their state is only read from simulation context or
-// after Run has returned (the engine's channel handshakes establish the
-// happens-before edges the race detector needs).
+// after Run has returned (the coroutine switches of the process hand-off
+// establish the happens-before edges the race detector needs).
 //
 // An engine without a tracer pays only a nil check per hook site; no
 // allocations, no calls, no change to the event schedule. Attaching a
