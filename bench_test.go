@@ -140,24 +140,6 @@ func BenchmarkOverlapTime(b *testing.B) {
 	}
 }
 
-// BenchmarkOverlapStreaming measures the O(1)-memory streaming merge on
-// pre-sorted input.
-func BenchmarkOverlapStreaming(b *testing.B) {
-	g := trace.FromRecords(randomRecords(65535))
-	g.SortByStart()
-	recs := g.Records()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var acc core.MergeAccumulator
-		for _, r := range recs {
-			acc.Add(r.Start, r.End)
-		}
-		if acc.Total() == 0 {
-			b.Fatal("zero union")
-		}
-	}
-}
-
 // BenchmarkTraceFootprint encodes the paper's 65535-operation example in
 // the 32-byte record format (§III.C: ≈ 2 MiB, "about 3 megabytes").
 func BenchmarkTraceFootprint(b *testing.B) {

@@ -100,14 +100,18 @@ func ComputeMetrics(records []Record, movedBytes int64, execTime Time) Metrics {
 	return core.Compute(trace.FromRecords(records), movedBytes, execTime)
 }
 
-// TimelinePoint is the measurement of one fixed window of a run.
-type TimelinePoint = core.TimelinePoint
+// TimelinePoint is the measurement of one fixed window of a run: its
+// completed operations, blocks and summed response time, its busy time,
+// and the BPS, IOPS, bandwidth, ARPT and utilization derived from them.
+type TimelinePoint = core.Window
 
 // Timeline slices a run into fixed windows and measures each: completed
 // operations and blocks are attributed to the window containing the
 // access's completion, busy time is the exact intersection of the
 // overlap union with the window, and each window's BPS/IOPS follow. It
-// turns the single-number BPS into a time series.
+// turns the single-number BPS into a time series. The series runs from
+// the window holding the earliest start to the one holding the last
+// completion; a record with Start < 0 or End < Start is an error.
 func Timeline(records []Record, window Time) ([]TimelinePoint, error) {
 	return core.Timeline(trace.FromRecords(records), window)
 }

@@ -147,6 +147,42 @@ func TestSimulateValidation(t *testing.T) {
 	if _, err := SimulateSequentialRead(RunConfig{}, 1, 0, 64<<10); err == nil {
 		t.Error("zero bytes accepted")
 	}
+	for _, rate := range []float64{7, -0.1, math.NaN()} {
+		cfg := RunConfig{Storage: Storage{FaultRate: rate}}
+		if _, err := SimulateSequentialRead(cfg, 1, 1<<20, 64<<10); err == nil {
+			t.Errorf("FaultRate %v accepted", rate)
+		}
+		if _, err := ReplayTrace(cfg, []Record{{PID: 1, Blocks: 1, End: 1}}); err == nil {
+			t.Errorf("replay with FaultRate %v accepted", rate)
+		}
+	}
+}
+
+func TestParseStack(t *testing.T) {
+	cases := []struct {
+		in      string
+		media   Media
+		servers int
+		ok      bool
+	}{
+		{"hdd", HDD, 0, true},
+		{"ssd", SSD, 0, true},
+		{"hddx4", HDD, 4, true},
+		{"ssdx8", SSD, 8, true},
+		{"nvme", 0, 0, false},
+		{"hddx0", 0, 0, false},
+		{"hddy4", 0, 0, false},
+	}
+	for _, c := range cases {
+		s, err := ParseStack(c.in)
+		if (err == nil) != c.ok {
+			t.Errorf("ParseStack(%q) err = %v", c.in, err)
+			continue
+		}
+		if c.ok && (s.Media != c.media || s.Servers != c.servers) {
+			t.Errorf("ParseStack(%q) = %+v", c.in, s)
+		}
+	}
 }
 
 func TestSimulateDeterminism(t *testing.T) {

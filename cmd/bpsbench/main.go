@@ -89,6 +89,10 @@ func main() {
 	case "sim":
 		// The simulated reproduction below.
 	case "os", "mem":
+		if err := simOnlyFlags(*backendName, *traceOut, *metricsOut, *attribOut, *forecastOut); err != nil {
+			fmt.Fprintln(os.Stderr, "bpsbench:", err)
+			os.Exit(1)
+		}
 		err := runLive(os.Stdout, liveOpts{
 			backend:    *backendName,
 			dir:        *dir,
@@ -223,6 +227,26 @@ func runSuiteFig(w io.Writer, params experiments.Params, nseeds int, rooflineOut
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "[wrote suite roofline report to %s]\n", rooflineOut)
+	}
+	return nil
+}
+
+// simOnlyFlags rejects the outputs a live backend cannot produce —
+// Chrome trace, per-layer metrics, blame table and burst forecast all
+// come from a simulated run — instead of silently writing nothing.
+func simOnlyFlags(backend, traceOut, metricsOut, attribOut string, forecast bool) error {
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"-trace-out", traceOut != ""},
+		{"-metrics-out", metricsOut != ""},
+		{"-attrib-out", attribOut != ""},
+		{"-forecast", forecast},
+	} {
+		if f.set {
+			return fmt.Errorf("%s is not supported with -backend %s (simulated runs only)", f.name, backend)
+		}
 	}
 	return nil
 }

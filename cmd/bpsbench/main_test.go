@@ -48,3 +48,24 @@ func TestTimedWrapsSuite(t *testing.T) {
 		t.Fatal("unknown id accepted")
 	}
 }
+
+func TestSimOnlyFlagsRejectedOnLiveBackends(t *testing.T) {
+	if err := simOnlyFlags("mem", "", "", "", false); err != nil {
+		t.Fatalf("no sim-only flag set: %v", err)
+	}
+	for _, c := range []struct {
+		flag                          string
+		traceOut, metricsOut, attribs string
+		forecast                      bool
+	}{
+		{flag: "-trace-out", traceOut: "t.json"},
+		{flag: "-metrics-out", metricsOut: "m.csv"},
+		{flag: "-attrib-out", attribs: "a.folded"},
+		{flag: "-forecast", forecast: true},
+	} {
+		err := simOnlyFlags("os", c.traceOut, c.metricsOut, c.attribs, c.forecast)
+		if err == nil || !strings.Contains(err.Error(), c.flag) {
+			t.Errorf("%s on -backend os: err = %v", c.flag, err)
+		}
+	}
+}

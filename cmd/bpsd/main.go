@@ -55,7 +55,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -130,7 +129,7 @@ type options struct {
 // holds the flags the user passed explicitly, so "-pace 0" (explicitly
 // asking for zero pacing) is distinguishable from the default.
 func validate(opts options, logs []string, set map[string]bool) error {
-	if _, err := parseStack(opts.stack); err != nil {
+	if _, err := bps.ParseStack(opts.stack); err != nil {
 		return err
 	}
 	switch {
@@ -165,7 +164,7 @@ func validate(opts options, logs []string, set map[string]bool) error {
 }
 
 func run(w io.Writer, logs []string, opts options) error {
-	storage, err := parseStack(opts.stack)
+	storage, err := bps.ParseStack(opts.stack)
 	if err != nil {
 		return err
 	}
@@ -283,31 +282,4 @@ func run(w io.Writer, logs []string, opts options) error {
 	}
 	fmt.Fprintln(w, "bpsd: drained cleanly")
 	return nil
-}
-
-// parseStack interprets hdd, ssd, hddxN, ssdxN (same grammar as
-// bpstrace -replay).
-func parseStack(s string) (bps.Storage, error) {
-	media := bps.HDD
-	rest := s
-	switch {
-	case strings.HasPrefix(s, "hdd"):
-		rest = strings.TrimPrefix(s, "hdd")
-	case strings.HasPrefix(s, "ssd"):
-		media = bps.SSD
-		rest = strings.TrimPrefix(s, "ssd")
-	default:
-		return bps.Storage{}, fmt.Errorf("unknown stack %q (hdd, ssd, hddxN, ssdxN)", s)
-	}
-	if rest == "" {
-		return bps.Storage{Media: media}, nil
-	}
-	if !strings.HasPrefix(rest, "x") {
-		return bps.Storage{}, fmt.Errorf("unknown stack %q (hdd, ssd, hddxN, ssdxN)", s)
-	}
-	n, err := strconv.Atoi(rest[1:])
-	if err != nil || n < 1 {
-		return bps.Storage{}, fmt.Errorf("bad server count in %q", s)
-	}
-	return bps.Storage{Media: media, Servers: n, SharedFile: true}, nil
 }

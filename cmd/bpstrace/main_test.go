@@ -169,33 +169,6 @@ func TestSpanHelper(t *testing.T) {
 	}
 }
 
-func TestParseStack(t *testing.T) {
-	cases := []struct {
-		in      string
-		media   bps.Media
-		servers int
-		ok      bool
-	}{
-		{"hdd", bps.HDD, 0, true},
-		{"ssd", bps.SSD, 0, true},
-		{"hddx4", bps.HDD, 4, true},
-		{"ssdx8", bps.SSD, 8, true},
-		{"nvme", 0, 0, false},
-		{"hddx0", 0, 0, false},
-		{"hddy4", 0, 0, false},
-	}
-	for _, c := range cases {
-		s, err := parseStack(c.in)
-		if (err == nil) != c.ok {
-			t.Errorf("parseStack(%q) err = %v", c.in, err)
-			continue
-		}
-		if c.ok && (s.Media != c.media || s.Servers != c.servers) {
-			t.Errorf("parseStack(%q) = %+v", c.in, s)
-		}
-	}
-}
-
 func TestRunReplay(t *testing.T) {
 	recs := sampleRecords()
 	path := writeTempTrace(t, "t.bin", recs, func(f *os.File) error {

@@ -57,8 +57,19 @@ func OverlapTime(records []trace.Record) sim.Time {
 // OverlapIntervals computes the union length of arbitrary intervals.
 // The slice is sorted in place.
 func OverlapIntervals(ivs []Interval) sim.Time {
+	var total sim.Time
+	mergeIntervals(ivs, func(iv Interval) { total += iv.Duration() })
+	return total
+}
+
+// mergeIntervals is the paper's Fig. 3 algorithm: sort ivs in place by
+// start, then walk them, extending the current merged interval while the
+// next one begins before (or exactly when) it ends, otherwise emitting
+// it and starting a new one. emit sees the disjoint spans of the union
+// in time order.
+func mergeIntervals(ivs []Interval, emit func(Interval)) {
 	if len(ivs) == 0 {
-		return 0
+		return
 	}
 	sort.Slice(ivs, func(i, j int) bool {
 		if ivs[i].Start != ivs[j].Start {
@@ -66,19 +77,10 @@ func OverlapIntervals(ivs []Interval) sim.Time {
 		}
 		return ivs[i].End < ivs[j].End
 	})
-	return overlapSorted(ivs)
-}
-
-// overlapSorted is the merge pass of the paper's Fig. 3 algorithm: walk
-// records in start order, extending the current merged interval while the
-// next record begins before (or exactly when) it ends, otherwise banking
-// its duration and starting a new one.
-func overlapSorted(ivs []Interval) sim.Time {
-	var total sim.Time
 	cur := ivs[0]
 	for _, next := range ivs[1:] {
 		if cur.End < next.Start {
-			total += cur.Duration()
+			emit(cur)
 			cur = next
 			continue
 		}
@@ -86,7 +88,7 @@ func overlapSorted(ivs []Interval) sim.Time {
 			cur.End = next.End
 		}
 	}
-	return total + cur.Duration()
+	emit(cur)
 }
 
 // SumTime is the naive alternative to OverlapTime: the arithmetic sum of
@@ -122,47 +124,4 @@ func Span(records []trace.Record) sim.Time {
 		return 0
 	}
 	return hi - lo
-}
-
-// MergeAccumulator is a streaming form of the Fig. 3 merge pass for
-// callers that already produce records sorted by start time (e.g. a
-// time-ordered trace file): O(1) memory instead of buffering the whole
-// collection.
-type MergeAccumulator struct {
-	total   sim.Time
-	cur     Interval
-	started bool
-	lastAdd sim.Time
-}
-
-// Add feeds the next interval. Intervals must arrive in nondecreasing
-// start order; Add panics otherwise, because a silently wrong T would
-// invalidate every metric computed from it.
-func (m *MergeAccumulator) Add(start, end sim.Time) {
-	if m.started && start < m.lastAdd {
-		panic("core: MergeAccumulator fed out-of-order interval")
-	}
-	m.lastAdd = start
-	iv := Interval{Start: start, End: end}
-	if !m.started {
-		m.cur = iv
-		m.started = true
-		return
-	}
-	if m.cur.End < iv.Start {
-		m.total += m.cur.Duration()
-		m.cur = iv
-		return
-	}
-	if iv.End > m.cur.End {
-		m.cur.End = iv.End
-	}
-}
-
-// Total returns the union length of everything added so far.
-func (m *MergeAccumulator) Total() sim.Time {
-	if !m.started {
-		return 0
-	}
-	return m.total + m.cur.Duration()
 }

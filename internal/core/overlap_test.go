@@ -85,35 +85,6 @@ func TestOverlapZeroLength(t *testing.T) {
 	}
 }
 
-func TestMergeAccumulatorMatchesBatch(t *testing.T) {
-	records := []trace.Record{rec(10, 40), rec(20, 55), rec(35, 60), rec(80, 95)}
-	var acc MergeAccumulator
-	for _, r := range records { // already sorted by start
-		acc.Add(r.Start, r.End)
-	}
-	if acc.Total() != OverlapTime(records) {
-		t.Fatalf("streaming %v != batch %v", acc.Total(), OverlapTime(records))
-	}
-}
-
-func TestMergeAccumulatorEmpty(t *testing.T) {
-	var acc MergeAccumulator
-	if acc.Total() != 0 {
-		t.Fatalf("empty accumulator total = %v", acc.Total())
-	}
-}
-
-func TestMergeAccumulatorOutOfOrderPanics(t *testing.T) {
-	var acc MergeAccumulator
-	acc.Add(10, 20)
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-order Add did not panic")
-		}
-	}()
-	acc.Add(5, 8)
-}
-
 // randomRecords builds n records with bounded coordinates from a seeded
 // source, for property tests.
 func randomRecords(rng *rand.Rand, n int) []trace.Record {
@@ -194,25 +165,6 @@ func TestOverlapDuplicateInvariance(t *testing.T) {
 		want := OverlapTime(records)
 		doubled := append(append([]trace.Record(nil), records...), records...)
 		return OverlapTime(doubled) == want
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: the streaming accumulator agrees with the batch union on
-// sorted input.
-func TestMergeAccumulatorProperty(t *testing.T) {
-	prop := func(seed int64, nRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		records := randomRecords(rng, int(nRaw%60)+1)
-		g := trace.FromRecords(append([]trace.Record(nil), records...))
-		g.SortByStart()
-		var acc MergeAccumulator
-		for _, r := range g.Records() {
-			acc.Add(r.Start, r.End)
-		}
-		return acc.Total() == OverlapTime(records)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -22,6 +22,7 @@ package attrib
 import (
 	"sort"
 
+	"bps/internal/core"
 	"bps/internal/sim"
 )
 
@@ -82,11 +83,6 @@ func LayerOf(cat, name string) int {
 	return -1
 }
 
-// interval is a half-open span of simulated time.
-type interval struct {
-	start, end sim.Time
-}
-
 // Config parameterizes a collector.
 type Config struct {
 	// Spans enables layer-span collection and the sweep-line blame
@@ -105,11 +101,11 @@ type Config struct {
 // run — and computes its Report lazily, once.
 type Collector struct {
 	cfg    Config
-	spans  [][]interval // indexed by StackOrder position
+	spans  [][]core.Interval // indexed by StackOrder position
 	counts []int
-	apps   []interval
+	apps   []core.Interval
 	blocks int64
-	est    *WindowEstimator
+	est    *core.WindowEstimator
 
 	report *Report
 }
@@ -118,11 +114,11 @@ type Collector struct {
 func NewCollector(cfg Config) *Collector {
 	c := &Collector{cfg: cfg}
 	if cfg.Spans {
-		c.spans = make([][]interval, NumLayers)
+		c.spans = make([][]core.Interval, NumLayers)
 		c.counts = make([]int, NumLayers)
 	}
 	if cfg.WindowEvery > 0 {
-		c.est = NewWindowEstimator(cfg.WindowEvery)
+		c.est = core.NewWindowEstimator(cfg.WindowEvery)
 	}
 	return c
 }
@@ -133,7 +129,7 @@ func (c *Collector) AddSpan(layer int, start, end sim.Time) {
 	if c == nil || c.spans == nil || layer < 0 || layer >= NumLayers || end <= start {
 		return
 	}
-	c.spans[layer] = append(c.spans[layer], interval{start, end})
+	c.spans[layer] = append(c.spans[layer], core.Interval{Start: start, End: end})
 	c.counts[layer]++
 }
 
@@ -144,7 +140,7 @@ func (c *Collector) AddApp(start, end sim.Time) {
 	if c == nil || c.spans == nil || end <= start {
 		return
 	}
-	c.apps = append(c.apps, interval{start, end})
+	c.apps = append(c.apps, core.Interval{Start: start, End: end})
 }
 
 // AddAccess feeds one completed application access to the streaming
@@ -223,7 +219,7 @@ type Report struct {
 
 	// Windows is the streaming estimator's time series (nil when
 	// windows were disabled); WindowEvery is its window width.
-	Windows     []Window
+	Windows     []core.Window
 	WindowEvery sim.Time
 
 	// Latency holds per-histogram latency quantiles harvested from the
@@ -292,7 +288,7 @@ func (r *Report) Dominant() string {
 // sampler ticks. Nil when windows are disabled. Windows whose end lies
 // at or before the current simulated time are final except for Busy,
 // which an in-flight long access can still extend retroactively.
-func (c *Collector) LiveWindows() []Window {
+func (c *Collector) LiveWindows() []core.Window {
 	if c == nil || c.est == nil {
 		return nil
 	}
@@ -342,20 +338,21 @@ func (c *Collector) sweep(rep *Report) {
 	for li, spans := range c.spans {
 		for _, iv := range spans {
 			evs = append(evs,
-				sweepEvent{iv.start, li, 1},
-				sweepEvent{iv.end, li, -1})
+				sweepEvent{iv.Start, li, 1},
+				sweepEvent{iv.End, li, -1})
 		}
 	}
 	for _, iv := range c.apps {
 		evs = append(evs,
-			sweepEvent{iv.start, -1, 1},
-			sweepEvent{iv.end, -1, -1})
+			sweepEvent{iv.Start, -1, 1},
+			sweepEvent{iv.End, -1, -1})
 	}
 	sort.Slice(evs, func(i, j int) bool { return evs[i].t < evs[j].t })
 
 	rep.Layers = make([]LayerTime, NumLayers+1)
 	for i, name := range StackOrder {
-		rep.Layers[i] = LayerTime{Layer: name, Busy: unionOf(c.spans[i]), Spans: c.counts[i]}
+		busy := core.OverlapIntervals(append([]core.Interval(nil), c.spans[i]...)) // sorts a copy
+		rep.Layers[i] = LayerTime{Layer: name, Busy: busy, Spans: c.counts[i]}
 	}
 	rep.Layers[NumLayers] = LayerTime{Layer: LayerClient}
 
@@ -441,27 +438,4 @@ func splitFrames(key string) []string {
 		key = key[j+1:]
 	}
 	return frames
-}
-
-// unionOf computes the union length of a layer's own spans (the Fig. 3
-// merge over one layer instead of the app).
-func unionOf(ivs []interval) sim.Time {
-	if len(ivs) == 0 {
-		return 0
-	}
-	sorted := append([]interval(nil), ivs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].start < sorted[j].start })
-	var total sim.Time
-	cur := sorted[0]
-	for _, next := range sorted[1:] {
-		if cur.end < next.start {
-			total += cur.end - cur.start
-			cur = next
-			continue
-		}
-		if next.end > cur.end {
-			cur.end = next.end
-		}
-	}
-	return total + cur.end - cur.start
 }

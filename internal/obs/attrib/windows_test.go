@@ -5,254 +5,139 @@ import (
 	"reflect"
 	"testing"
 
+	"bps/internal/core"
 	"bps/internal/sim"
 	"bps/internal/trace"
 )
 
-const win = 10 * sim.Millisecond
+const (
+	win = 10 * sim.Millisecond
+	ms  = sim.Millisecond
+)
 
-// TestWindowsCompletionAttribution: work lands in the window containing
-// the access's end, with an end exactly on a boundary belonging to the
-// left window — the same convention as core.Timeline.
+// collectorSeries feeds accesses {blocks, start, end} through a
+// Collector's live path and returns its window series, after checking
+// that the live view, the memoized report and the post-hoc
+// core.Timeline of the same records all agree.
+func collectorSeries(t *testing.T, accesses ...[3]sim.Time) []core.Window {
+	t.Helper()
+	c := NewCollector(Config{Spans: true, WindowEvery: win})
+	var records []trace.Record
+	for _, a := range accesses {
+		c.AddAccess(int64(a[0]), a[1], a[2])
+		records = append(records, trace.Record{PID: 1, Blocks: int64(a[0]), Start: a[1], End: a[2]})
+	}
+	live := c.LiveWindows()
+	rep := c.Report()
+	if !reflect.DeepEqual(live, rep.Windows) || rep.WindowEvery != win {
+		t.Fatalf("report series %+v (every %v) differs from live %+v", rep.Windows, rep.WindowEvery, live)
+	}
+	post, err := core.Timeline(trace.FromRecords(records), win)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(live, post) {
+		t.Fatalf("live series %+v differs from post-hoc Timeline %+v", live, post)
+	}
+	return live
+}
+
+// TestWindowsCompletionAttribution: a completion on a boundary belongs
+// to the left window.
 func TestWindowsCompletionAttribution(t *testing.T) {
-	e := NewWindowEstimator(win)
-	e.Add(4, 0, win)             // ends exactly on the first boundary → window 0
-	e.Add(8, win/2, win+1)       // crosses the boundary → window 1
-	e.Add(2, 2*win, 2*win+win/2) // window 2
-	wins := e.Windows()
-
-	if len(wins) != 3 {
-		t.Fatalf("windows = %d, want 3", len(wins))
-	}
-	if wins[0].Ops != 1 || wins[0].Blocks != 4 {
-		t.Errorf("window 0 ops/blocks = %d/%d, want 1/4", wins[0].Ops, wins[0].Blocks)
-	}
-	if wins[1].Ops != 1 || wins[1].Blocks != 8 {
-		t.Errorf("window 1 ops/blocks = %d/%d, want 1/8", wins[1].Ops, wins[1].Blocks)
-	}
-	if wins[2].Ops != 1 || wins[2].Blocks != 2 {
-		t.Errorf("window 2 ops/blocks = %d/%d, want 1/2", wins[2].Ops, wins[2].Blocks)
-	}
-	for i, w := range wins {
-		if w.Start != sim.Time(i)*win || w.End != sim.Time(i+1)*win {
-			t.Errorf("window %d bounds [%d,%d), want [%d,%d)", i, w.Start, w.End,
-				sim.Time(i)*win, sim.Time(i+1)*win)
-		}
+	wins := collectorSeries(t, [3]sim.Time{4, 0, win}, [3]sim.Time{8, win / 2, win + 1})
+	if len(wins) != 2 || wins[0].Blocks != 4 || wins[1].Blocks != 8 {
+		t.Fatalf("series = %+v", wins)
 	}
 }
 
-// TestWindowsBusyUnion: busy is the overlap union clipped to each
-// window — concurrent accesses are counted once, idle gaps not at all.
+// TestWindowsBusyUnion: concurrent accesses count once in Busy.
 func TestWindowsBusyUnion(t *testing.T) {
-	e := NewWindowEstimator(win)
-	// Two concurrent accesses covering [0, 6ms); idle until 8ms; then
-	// one access crossing into the second window.
-	e.Add(1, 0, 6*sim.Millisecond)
-	e.Add(1, 2*sim.Millisecond, 6*sim.Millisecond)
-	e.Add(1, 8*sim.Millisecond, 14*sim.Millisecond)
-	wins := e.Windows()
-
-	if len(wins) != 2 {
-		t.Fatalf("windows = %d, want 2", len(wins))
-	}
-	if want := 8 * sim.Millisecond; wins[0].Busy != want { // [0,6) ∪ [8,10)
-		t.Errorf("window 0 busy = %v, want %v", wins[0].Busy, want)
-	}
-	if want := 4 * sim.Millisecond; wins[1].Busy != want { // [10,14)
-		t.Errorf("window 1 busy = %v, want %v", wins[1].Busy, want)
-	}
-	if got, want := wins[0].Utilization(), 0.8; got != want {
-		t.Errorf("window 0 utilization = %v, want %v", got, want)
+	wins := collectorSeries(t, [3]sim.Time{1, 0, 6 * ms}, [3]sim.Time{1, 2 * ms, 6 * ms}, [3]sim.Time{1, 8 * ms, 14 * ms})
+	if len(wins) != 2 || wins[0].Busy != 8*ms || wins[1].Busy != 4*ms {
+		t.Fatalf("series = %+v", wins)
 	}
 }
 
-// TestWindowsContinuousThroughGaps: a long idle stretch still yields
-// the in-between empty windows, so the series has no holes.
+// TestWindowsContinuousThroughGaps: idle windows stay in the series.
 func TestWindowsContinuousThroughGaps(t *testing.T) {
-	e := NewWindowEstimator(win)
-	e.Add(1, 0, sim.Millisecond)
-	e.Add(1, 5*win, 5*win+sim.Millisecond)
-	wins := e.Windows()
-
-	if len(wins) != 6 {
-		t.Fatalf("windows = %d, want 6 (gap windows included)", len(wins))
-	}
-	for i := 1; i <= 4; i++ {
-		if wins[i].Ops != 0 || wins[i].Busy != 0 {
-			t.Errorf("gap window %d ops/busy = %d/%v, want 0/0", i, wins[i].Ops, wins[i].Busy)
-		}
-		if wins[i].BPS() != 0 || wins[i].ARPT() != 0 {
-			t.Errorf("gap window %d rates nonzero", i)
-		}
+	wins := collectorSeries(t, [3]sim.Time{1, 0, ms}, [3]sim.Time{1, 5 * win, 5*win + ms})
+	if len(wins) != 6 || wins[3].Ops != 0 || wins[3].Busy != 0 {
+		t.Fatalf("series = %+v", wins)
 	}
 }
 
-// TestWindowRates checks the per-window metric arithmetic against hand
-// computation.
+// TestWindowRates: a collected window's rates match hand computation.
 func TestWindowRates(t *testing.T) {
-	w := Window{
-		Start: 0, End: win,
-		Ops: 4, Blocks: 64,
-		SumDur: 8 * sim.Millisecond,
-		Busy:   5 * sim.Millisecond,
-	}
-	if got, want := w.BPS(), 64/0.005; got != want {
-		t.Errorf("BPS = %v, want %v", got, want)
-	}
-	if got, want := w.IOPS(), 4/0.005; got != want {
-		t.Errorf("IOPS = %v, want %v", got, want)
-	}
-	if got, want := w.Bandwidth(), 64*float64(trace.BlockSize)/0.005; got != want {
-		t.Errorf("Bandwidth = %v, want %v", got, want)
-	}
-	if got, want := w.ARPT(), 0.008/4; got != want {
-		t.Errorf("ARPT = %v, want %v", got, want)
-	}
-
-	var zero Window
-	if zero.BPS() != 0 || zero.IOPS() != 0 || zero.Bandwidth() != 0 ||
-		zero.ARPT() != 0 || zero.Utilization() != 0 {
-		t.Error("zero window produced nonzero rates")
+	wins := collectorSeries(t,
+		[3]sim.Time{16, 0, 2 * ms}, [3]sim.Time{16, 0, 2 * ms},
+		[3]sim.Time{16, 2 * ms, 4 * ms}, [3]sim.Time{16, 3 * ms, 5 * ms})
+	w := wins[0] // 4 ops, 64 blocks, 8 ms summed, busy [0,5ms)
+	if w.BPS() != 64/0.005 || w.IOPS() != 4/0.005 || w.ARPT() != 0.008/4 || w.Utilization() != 0.5 {
+		t.Fatalf("rates of %+v: BPS %v IOPS %v ARPT %v util %v", w, w.BPS(), w.IOPS(), w.ARPT(), w.Utilization())
 	}
 }
 
-// TestEstimatorRejectsBadInput: negative or inverted intervals are
-// dropped rather than corrupting the grid.
+// TestEstimatorRejectsBadInput: invalid accesses never reach the
+// series, and a nil or window-less collector has none.
 func TestEstimatorRejectsBadInput(t *testing.T) {
-	e := NewWindowEstimator(win)
-	e.Add(1, -5, 5)
-	e.Add(1, 10, 5)
-	if e.Windows() != nil {
+	c := NewCollector(Config{WindowEvery: win})
+	c.AddAccess(1, -5, 5)
+	c.AddAccess(1, 10, 5)
+	if c.LiveWindows() != nil || c.Report().Windows != nil {
 		t.Fatal("bad input produced windows")
 	}
-	var ne *WindowEstimator
-	ne.Add(1, 0, 1)
-	if ne.Windows() != nil || ne.Every() != 0 {
-		t.Fatal("nil estimator produced data")
+	var nc *Collector
+	nc.AddAccess(1, 0, 1)
+	if nc.LiveWindows() != nil || nc.WindowEvery() != 0 || NewCollector(Config{}).WindowEvery() != 0 {
+		t.Fatal("disabled collector produced windows")
 	}
 }
 
-// TestEstimatorOutOfOrderFinishes: the simulation feeds completions in
-// end-time order, but the estimator must not depend on it — the same
-// accesses added in any order produce the identical series.
+// TestEstimatorOutOfOrderFinishes: add order does not matter.
 func TestEstimatorOutOfOrderFinishes(t *testing.T) {
-	accesses := [][3]sim.Time{ // {blocks (as Time for brevity), start, end}
-		{4, 0, 3 * sim.Millisecond},
-		{8, 2 * sim.Millisecond, 15 * sim.Millisecond},
-		{2, 12 * sim.Millisecond, 13 * sim.Millisecond},
-		{6, 25 * sim.Millisecond, 31 * sim.Millisecond},
-		{1, 9 * sim.Millisecond, 9 * sim.Millisecond},
-	}
-	feed := func(order []int) []Window {
-		e := NewWindowEstimator(win)
-		for _, i := range order {
-			a := accesses[i]
-			e.Add(int64(a[0]), a[1], a[2])
-		}
-		return e.Windows()
-	}
-	sorted := feed([]int{0, 4, 2, 1, 3})
-	reversed := feed([]int{3, 1, 2, 4, 0})
-	shuffled := feed([]int{2, 0, 3, 1, 4})
-	if !reflect.DeepEqual(sorted, reversed) || !reflect.DeepEqual(sorted, shuffled) {
-		t.Fatalf("series depends on add order:\nsorted:   %+v\nreversed: %+v\nshuffled: %+v",
-			sorted, reversed, shuffled)
+	a := [][3]sim.Time{{4, 0, 3 * ms}, {8, 2 * ms, 15 * ms}, {1, 9 * ms, 9 * ms}, {6, 25 * ms, 31 * ms}}
+	if !reflect.DeepEqual(collectorSeries(t, a...), collectorSeries(t, a[3], a[1], a[0], a[2])) {
+		t.Fatal("series depends on add order")
 	}
 }
 
-// TestEstimatorStraddlingSpan: one access spanning several whole
-// windows books its ops/blocks in the completion window but spreads its
-// busy time across every window it crosses.
+// TestEstimatorStraddlingSpan: one long access spreads its busy time
+// over every window it crosses.
 func TestEstimatorStraddlingSpan(t *testing.T) {
-	e := NewWindowEstimator(win)
-	// [5ms, 35ms): crosses windows 0..3, completes in window 3.
-	e.Add(10, win/2, 3*win+win/2)
-	wins := e.Windows()
-	if len(wins) != 4 {
-		t.Fatalf("windows = %d, want 4", len(wins))
-	}
-	for i, w := range wins {
-		wantOps := int64(0)
-		if i == 3 {
-			wantOps = 1
-		}
-		if w.Ops != wantOps {
-			t.Errorf("window %d ops = %d, want %d (completion-time attribution)", i, w.Ops, wantOps)
-		}
-		wantBusy := win
-		if i == 0 || i == 3 {
-			wantBusy = win / 2
-		}
-		if w.Busy != wantBusy {
-			t.Errorf("window %d busy = %v, want %v", i, w.Busy, wantBusy)
-		}
-	}
-	if wins[3].Blocks != 10 {
-		t.Errorf("window 3 blocks = %d, want 10", wins[3].Blocks)
-	}
-	// Middle windows are busy the whole time but complete nothing: their
-	// rates must still be finite (zero ops, nonzero busy).
-	if got := wins[1].BPS(); got != 0 {
-		t.Errorf("window 1 BPS = %v, want 0 (no completions)", got)
-	}
-	if got := wins[1].Utilization(); got != 1 {
-		t.Errorf("window 1 utilization = %v, want 1", got)
+	wins := collectorSeries(t, [3]sim.Time{10, win / 2, 3*win + win/2})
+	if len(wins) != 4 || wins[1].Busy != win || wins[3].Ops != 1 {
+		t.Fatalf("series = %+v", wins)
 	}
 }
 
-// TestEstimatorSpanEndingOnBoundary: a span ending exactly on a window
-// boundary contributes busy only to the left window and none past it.
+// TestEstimatorSpanEndingOnBoundary: no window opens past a boundary
+// completion.
 func TestEstimatorSpanEndingOnBoundary(t *testing.T) {
-	e := NewWindowEstimator(win)
-	e.Add(5, win/2, 2*win) // ends exactly at the window-1/2 boundary
-	wins := e.Windows()
-	if len(wins) != 2 {
-		t.Fatalf("windows = %d, want 2 (boundary end belongs left)", len(wins))
-	}
-	if wins[1].Ops != 1 || wins[1].Blocks != 5 {
-		t.Errorf("window 1 ops/blocks = %d/%d, want 1/5", wins[1].Ops, wins[1].Blocks)
-	}
-	if wins[0].Busy != win/2 || wins[1].Busy != win {
-		t.Errorf("busy = %v,%v, want %v,%v", wins[0].Busy, wins[1].Busy, win/2, win)
+	wins := collectorSeries(t, [3]sim.Time{5, win / 2, 2 * win})
+	if len(wins) != 2 || wins[1].Ops != 1 || wins[1].Busy != win {
+		t.Fatalf("series = %+v", wins)
 	}
 }
 
-// TestWindowRatesNeverNaNOrInf sweeps degenerate windows — zero busy,
-// zero width, zero ops, inverted bounds — through every rate helper:
-// all must return finite values (satellite: no NaN/Inf in exports).
+// TestWindowRatesNeverNaNOrInf: the degenerate windows a collector
+// emits — idle, busy without completions, completions without busy —
+// have finite rates.
 func TestWindowRatesNeverNaNOrInf(t *testing.T) {
-	cases := []Window{
-		{},
-		{Start: win, End: win}, // zero width
-		{Start: win, End: 2 * win, Ops: 3, Blocks: 12}, // ops but no busy
-		{Start: win, End: 2 * win, Busy: win},          // busy but no ops
-		{Start: 2 * win, End: win, Ops: 1, Blocks: 1},  // inverted bounds
-		{Start: 0, End: win, SumDur: win, Busy: -win},  // negative busy
-	}
-	for i, w := range cases {
-		for name, v := range map[string]float64{
-			"BPS": w.BPS(), "IOPS": w.IOPS(), "Bandwidth": w.Bandwidth(),
-			"ARPT": w.ARPT(), "Utilization": w.Utilization(),
-		} {
+	wins := collectorSeries(t, [3]sim.Time{3, win, win}, [3]sim.Time{1, 2 * win, 4*win + ms})
+	for i, w := range wins {
+		for _, v := range []float64{w.BPS(), w.IOPS(), w.Bandwidth(), w.ARPT(), w.Utilization()} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Errorf("case %d: %s = %v on %+v", i, name, v, w)
+				t.Errorf("window %d %+v has a non-finite rate", i, w)
 			}
 		}
 	}
-	// The common degenerate values are exactly zero, not merely finite.
-	z := Window{Start: win, End: win}
-	if z.BPS() != 0 || z.Utilization() != 0 {
-		t.Errorf("zero-width window rates: BPS=%v Util=%v, want 0", z.BPS(), z.Utilization())
-	}
 }
 
-// TestEstimatorZeroDuration: an instantaneous access still counts as an
-// op in its window but adds no busy time.
+// TestEstimatorZeroDuration: an instantaneous access counts as an op.
 func TestEstimatorZeroDuration(t *testing.T) {
-	e := NewWindowEstimator(win)
-	e.Add(3, win/2, win/2)
-	wins := e.Windows()
+	wins := collectorSeries(t, [3]sim.Time{3, win / 2, win / 2})
 	if len(wins) != 1 || wins[0].Ops != 1 || wins[0].Blocks != 3 || wins[0].Busy != 0 {
-		t.Fatalf("zero-duration access: %+v", wins)
+		t.Fatalf("series = %+v", wins)
 	}
 }

@@ -3,7 +3,7 @@ package forecast
 import (
 	"testing"
 
-	"bps/internal/obs/attrib"
+	"bps/internal/core"
 	"bps/internal/sim"
 	"bps/internal/trace"
 )
@@ -182,7 +182,7 @@ func TestMinBaselineFloor(t *testing.T) {
 // series with its own rate helpers' values.
 func TestTrackerFansOut(t *testing.T) {
 	tr := NewTracker(Config{})
-	w := attrib.Window{
+	w := core.Window{
 		Start: 0, End: 10 * sim.Millisecond,
 		Ops: 4, Blocks: 2048, SumDur: 8 * sim.Millisecond, Busy: 10 * sim.Millisecond,
 	}

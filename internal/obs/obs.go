@@ -25,6 +25,7 @@ import (
 	"io"
 	"strings"
 
+	"bps/internal/core"
 	"bps/internal/obs/attrib"
 	"bps/internal/sim"
 )
@@ -304,7 +305,7 @@ func (o *Observer) AppAccess(blocks int64, start, end sim.Time) {
 // LiveWindows returns the streaming estimator's window series as of the
 // current simulated time, without computing the memoized report — safe
 // to call mid-run from a Tick hook. Nil when windows are disabled.
-func (o *Observer) LiveWindows() []attrib.Window {
+func (o *Observer) LiveWindows() []core.Window {
 	if o == nil || o.attrib == nil {
 		return nil
 	}

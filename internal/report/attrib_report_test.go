@@ -70,7 +70,7 @@ func TestWriteAttribution(t *testing.T) {
 		Latency: []attrib.LatencyRow{
 			{Name: "device/hdd/service_ns", Count: 10, Mean: 1000, P50: 1024, P95: 2048, P99: 2048, Max: 1999},
 		},
-		Windows: []attrib.Window{
+		Windows: []core.Window{
 			{Start: 0, End: sim.Second, Ops: 10, Blocks: 640,
 				SumDur: sim.Second / 2, Busy: sim.Second},
 		},

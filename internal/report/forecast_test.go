@@ -7,13 +7,14 @@ import (
 	"strings"
 	"testing"
 
+	"bps/internal/core"
 	"bps/internal/obs/attrib"
 	"bps/internal/obs/forecast"
 	"bps/internal/sim"
 )
 
 func windowedReport() *attrib.Report {
-	e := attrib.NewWindowEstimator(10 * sim.Millisecond)
+	e := core.NewWindowEstimator(10 * sim.Millisecond)
 	e.Add(64, 0, 8*sim.Millisecond)
 	// Window 1 idle; window 2 active again, then a burst in window 3.
 	e.Add(32, 20*sim.Millisecond, 26*sim.Millisecond)

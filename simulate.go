@@ -2,8 +2,11 @@ package bps
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
+	"strconv"
+	"strings"
 
 	"bps/internal/core"
 	"bps/internal/device"
@@ -87,6 +90,34 @@ type Storage struct {
 // cache config.
 func (s Storage) clientCache() ioreq.CacheConfig {
 	return ioreq.CacheConfig{CapacityBytes: s.ClientCacheBytes, ReadAhead: s.ClientCacheReadAhead}
+}
+
+// ParseStack interprets the command-line stack grammar: hdd or ssd for
+// a local stack, hddxN or ssdxN for a cluster of N servers sharing one
+// striped file.
+func ParseStack(s string) (Storage, error) {
+	media := HDD
+	rest := s
+	switch {
+	case strings.HasPrefix(s, "hdd"):
+		rest = strings.TrimPrefix(s, "hdd")
+	case strings.HasPrefix(s, "ssd"):
+		media = SSD
+		rest = strings.TrimPrefix(s, "ssd")
+	default:
+		return Storage{}, fmt.Errorf("unknown stack %q (hdd, ssd, hddxN, ssdxN)", s)
+	}
+	if rest == "" {
+		return Storage{Media: media}, nil
+	}
+	if !strings.HasPrefix(rest, "x") {
+		return Storage{}, fmt.Errorf("unknown stack %q (hdd, ssd, hddxN, ssdxN)", s)
+	}
+	n, err := strconv.Atoi(rest[1:])
+	if err != nil || n < 1 {
+		return Storage{}, fmt.Errorf("bad server count in %q", s)
+	}
+	return Storage{Media: media, Servers: n, SharedFile: true}, nil
 }
 
 // RunConfig carries the common knobs of a simulated run.
@@ -307,8 +338,12 @@ func appEnv(e *sim.Engine, cluster *pfs.Cluster, localFS *fsim.FileSystem, ai in
 // newEngine builds one run's engine in the execution mode RunConfig
 // selects: classic single-calendar, or sharded with cfg.Shards workers
 // (GOMAXPROCS when negative). Sharding partitions the simulation by
-// I/O server, so it needs a cluster stack.
+// I/O server, so it needs a cluster stack. Every run passes through
+// here, so it also rejects a FaultRate that is not a probability.
 func newEngine(cfg RunConfig) (*sim.Engine, error) {
+	if r := cfg.Storage.FaultRate; math.IsNaN(r) || r < 0 || r > 1 {
+		return nil, fmt.Errorf("bps: FaultRate %v outside [0,1]", r)
+	}
 	e := sim.NewEngine(cfg.Seed)
 	shards := cfg.Shards
 	if shards < 0 {
