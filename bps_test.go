@@ -2,7 +2,9 @@ package bps
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -156,6 +158,38 @@ func TestSimulateValidation(t *testing.T) {
 			t.Errorf("replay with FaultRate %v accepted", rate)
 		}
 	}
+	// Only SimulateSequentialRead and SimulateNoncontiguousRead on a
+	// cluster model the client cache; everything else must reject it
+	// instead of silently measuring an uncached stack.
+	l, err := ReadLog("testdata/darshan_sample.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accs, _ := l.Accesses()
+	app := AppSpec{Name: "a", Processes: 1, BytesPerProcess: 1 << 20, RecordSize: 64 << 10}
+	tenant := TenantSpec{Tenant: QoSTenant{Name: "a"}, Processes: 1, BytesPerProcess: 1 << 20, RecordSize: 64 << 10}
+	for _, s := range []Storage{
+		{Media: HDD, Servers: 2, ClientCacheBytes: 1 << 20},
+		{Media: HDD, Servers: 2, ClientCacheReadAhead: 64 << 10},
+		{Media: HDD, ClientCacheBytes: 1 << 20},
+	} {
+		cfg := RunConfig{Storage: s}
+		runs := map[string]func() error{
+			"ConcurrentApps": func() error { _, _, err := SimulateConcurrentApps(cfg, app); return err },
+			"Tenants":        func() error { _, _, _, err := SimulateTenants(cfg, QoSConfig{}, tenant); return err },
+			"ReplayTrace":    func() error { _, err := ReplayTrace(cfg, []Record{{PID: 1, Blocks: 1, End: 1}}); return err },
+			"ReplayAccesses": func() error { _, err := ReplayAccesses(cfg, accs); return err },
+			"ReplayLog":      func() error { _, err := ReplayLog(cfg, l); return err },
+		}
+		if s.Servers == 0 {
+			runs["SequentialRead"] = func() error { _, err := SimulateSequentialRead(cfg, 1, 1<<20, 64<<10); return err }
+		}
+		for name, run := range runs {
+			if err := run(); err == nil || !strings.Contains(err.Error(), "client cache") {
+				t.Errorf("%s with client cache %+v: err = %v", name, s, err)
+			}
+		}
+	}
 }
 
 func TestParseStack(t *testing.T) {
@@ -277,6 +311,92 @@ func TestSimulateConcurrentApps(t *testing.T) {
 	}
 	if _, _, err := SimulateConcurrentApps(RunConfig{}, AppSpec{Name: "bad"}); err == nil {
 		t.Error("invalid app accepted")
+	}
+}
+
+// TestConcurrentAppsMatchTenants pins the "QoS off = no controller"
+// promise: SimulateConcurrentApps measures exactly what SimulateTenants
+// does with a zero QoSConfig and the same workloads — combined and
+// per-application metrics, records, errors, and (when observed) the
+// folded attribution stacks — on every stack shape and engine mode.
+func TestConcurrentAppsMatchTenants(t *testing.T) {
+	apps := []AppSpec{
+		{Name: "a", Processes: 2, BytesPerProcess: 1 << 20, RecordSize: 64 << 10},
+		{Name: "b", Processes: 1, BytesPerProcess: 512 << 10, RecordSize: 16 << 10, ComputePerOp: Millisecond},
+	}
+	tenants := make([]TenantSpec, len(apps))
+	for i, a := range apps {
+		tenants[i] = TenantSpec{
+			Tenant:          QoSTenant{Name: a.Name},
+			Processes:       a.Processes,
+			BytesPerProcess: a.BytesPerProcess,
+			RecordSize:      a.RecordSize,
+			ComputePerOp:    a.ComputePerOp,
+		}
+	}
+	stacks := []struct {
+		name string
+		s    Storage
+	}{
+		{"local-hdd", Storage{Media: HDD}},
+		{"ssdx2", Storage{Media: SSD, Servers: 2}},
+		{"hddx4", Storage{Media: HDD, Servers: 4}},
+		{"hddx2-faults", Storage{Media: HDD, Servers: 2, FaultRate: 0.02}},
+		{"local-hdd-faultevery", Storage{Media: HDD, FaultEvery: 3}},
+	}
+	for _, st := range stacks {
+		for _, shards := range []int{0, 2} {
+			if shards > 0 && st.s.Servers == 0 {
+				continue // sharding needs a cluster
+			}
+			for _, observe := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/shards=%d/observe=%v", st.name, shards, observe), func(t *testing.T) {
+					cfg := RunConfig{Storage: st.s, Seed: 5, Shards: shards}
+					if observe {
+						cfg.Observe = &ObserveOptions{Attribution: true}
+					}
+					ac, ap, err := SimulateConcurrentApps(cfg, apps...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tc, tp, _, err := SimulateTenants(cfg, QoSConfig{}, tenants...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameReport(t, "combined", ac, tc)
+					// One device access per record: every third fails.
+					if n := st.s.FaultEvery; n > 0 && tc.Errors != len(tc.Records)/int(n) {
+						t.Fatalf("FaultEvery %d: %d errors over %d accesses", n, tc.Errors, len(tc.Records))
+					}
+					if len(ap) != len(tp) {
+						t.Fatalf("%d app reports, %d tenant reports", len(ap), len(tp))
+					}
+					for i := range ap {
+						sameReport(t, apps[i].Name, ap[i], tp[i])
+					}
+					if (ac.Attribution == nil) != (tc.Attribution == nil) {
+						t.Fatal("attribution present on only one path")
+					}
+					if ac.Attribution != nil && !reflect.DeepEqual(ac.Attribution.Stacks, tc.Attribution.Stacks) {
+						t.Fatalf("folded stacks differ:\n apps    %v\n tenants %v", ac.Attribution.Stacks, tc.Attribution.Stacks)
+					}
+				})
+			}
+		}
+	}
+}
+
+// sameReport fails unless two reports measured the same run.
+func sameReport(t *testing.T, what string, a, b RunReport) {
+	t.Helper()
+	if a.Metrics != b.Metrics {
+		t.Fatalf("%s metrics differ:\n apps    %+v\n tenants %+v", what, a.Metrics, b.Metrics)
+	}
+	if a.Errors != b.Errors {
+		t.Fatalf("%s errors differ: %d vs %d", what, a.Errors, b.Errors)
+	}
+	if !reflect.DeepEqual(a.Records, b.Records) {
+		t.Fatalf("%s records differ", what)
 	}
 }
 

@@ -89,7 +89,9 @@ func main() {
 	case "sim":
 		// The simulated reproduction below.
 	case "os", "mem":
-		if err := simOnlyFlags(*backendName, *traceOut, *metricsOut, *attribOut, *forecastOut); err != nil {
+		set := make(map[string]bool)
+		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		if err := simOnlyFlags(*backendName, set); err != nil {
 			fmt.Fprintln(os.Stderr, "bpsbench:", err)
 			os.Exit(1)
 		}
@@ -231,21 +233,20 @@ func runSuiteFig(w io.Writer, params experiments.Params, nseeds int, rooflineOut
 	return nil
 }
 
-// simOnlyFlags rejects the outputs a live backend cannot produce —
-// Chrome trace, per-layer metrics, blame table and burst forecast all
-// come from a simulated run — instead of silently writing nothing.
-func simOnlyFlags(backend, traceOut, metricsOut, attribOut string, forecast bool) error {
-	for _, f := range []struct {
-		name string
-		set  bool
-	}{
-		{"-trace-out", traceOut != ""},
-		{"-metrics-out", metricsOut != ""},
-		{"-attrib-out", attribOut != ""},
-		{"-forecast", forecast},
-	} {
-		if f.set {
-			return fmt.Errorf("%s is not supported with -backend %s (simulated runs only)", f.name, backend)
+// simOnlyNames are the flags only a simulated run honours: the Chrome
+// trace, per-layer metrics, blame table and burst forecast come from
+// the engine, and the CSV tables, seed sweeps, suite JSON, fault sweep
+// and engine shards describe figure reproduction.
+var simOnlyNames = []string{"trace-out", "metrics-out", "attrib-out", "forecast",
+	"csv", "seeds", "roofline-out", "fault-rates", "shards"}
+
+// simOnlyFlags rejects any sim-only flag given on the command line (set
+// holds the names flag.Visit reports) with a live backend, instead of
+// silently ignoring it.
+func simOnlyFlags(backend string, set map[string]bool) error {
+	for _, name := range simOnlyNames {
+		if set[name] {
+			return fmt.Errorf("-%s is not supported with -backend %s (simulated runs only)", name, backend)
 		}
 	}
 	return nil
@@ -311,7 +312,7 @@ func runLive(w io.Writer, o liveOpts) error {
 	cfg := live.Config{
 		FS:          fsys,
 		Mode:        mode,
-		Cost:        clock.CostModel{PerOp: 100 * sim.Microsecond, BytesPerSec: 200e6},
+		Cost:        clock.DefaultCost(),
 		WindowEvery: sim.Time(o.windows * float64(sim.Second)),
 		Seed:        o.seed,
 		Label:       "bpsbench -backend " + o.backend,

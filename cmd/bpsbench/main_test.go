@@ -50,22 +50,14 @@ func TestTimedWrapsSuite(t *testing.T) {
 }
 
 func TestSimOnlyFlagsRejectedOnLiveBackends(t *testing.T) {
-	if err := simOnlyFlags("mem", "", "", "", false); err != nil {
+	if err := simOnlyFlags("mem", map[string]bool{"live-procs": true, "windows": true}); err != nil {
 		t.Fatalf("no sim-only flag set: %v", err)
 	}
-	for _, c := range []struct {
-		flag                          string
-		traceOut, metricsOut, attribs string
-		forecast                      bool
-	}{
-		{flag: "-trace-out", traceOut: "t.json"},
-		{flag: "-metrics-out", metricsOut: "m.csv"},
-		{flag: "-attrib-out", attribs: "a.folded"},
-		{flag: "-forecast", forecast: true},
-	} {
-		err := simOnlyFlags("os", c.traceOut, c.metricsOut, c.attribs, c.forecast)
-		if err == nil || !strings.Contains(err.Error(), c.flag) {
-			t.Errorf("%s on -backend os: err = %v", c.flag, err)
+	for _, name := range []string{"trace-out", "metrics-out", "attrib-out", "forecast",
+		"csv", "seeds", "roofline-out", "fault-rates", "shards"} {
+		err := simOnlyFlags("os", map[string]bool{name: true})
+		if err == nil || !strings.Contains(err.Error(), "-"+name+" ") {
+			t.Errorf("-%s on -backend os: err = %v", name, err)
 		}
 	}
 }

@@ -72,6 +72,15 @@ type CostModel struct {
 	BytesPerSec float64  // transfer rate; <=0 means no size-dependent cost
 }
 
+// DefaultCost is the default virtual service-time model of live runs:
+// a fixed 100 µs per-op setup cost plus a 200 MB/s transfer rate. Small
+// records are op-dominated (IOPS high, BW starved), large records
+// transfer-dominated — the regime change that makes BPS, IOPS and BW
+// rank a record-size sweep differently.
+func DefaultCost() CostModel {
+	return CostModel{PerOp: 100 * sim.Microsecond, BytesPerSec: 200e6}
+}
+
 // Cost returns the virtual duration of an operation moving n bytes.
 func (m CostModel) Cost(n int64) sim.Time {
 	d := m.PerOp

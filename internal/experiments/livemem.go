@@ -27,14 +27,6 @@ const liveMemFileBytes = 256 << 20
 // liveMemProcs is the live worker count (one clock lane each).
 const liveMemProcs = 4
 
-// liveMemCost is the virtual service-time model: a fixed per-op setup
-// cost plus a 200 MB/s transfer rate. Small records are op-dominated
-// (IOPS high, BW starved), large records transfer-dominated — the
-// regime change that makes BPS, IOPS, and BW rank the sweep differently.
-func liveMemCost() clock.CostModel {
-	return clock.CostModel{PerOp: 100 * sim.Microsecond, BytesPerSec: 200e6}
-}
-
 // liveMemAccesses builds the deterministic workload for one record
 // size: every process sequentially reads its own slot file in record-
 // size chunks, back to back (Start 0 — pacing comes entirely from the
@@ -65,7 +57,7 @@ func (s *Suite) figLiveMem() (Figure, error) {
 			rep, err := live.Run(live.Config{
 				FS:          backend.NewMemFS(),
 				Mode:        live.Virtual,
-				Cost:        liveMemCost(),
+				Cost:        clock.DefaultCost(),
 				WindowEvery: 10 * sim.Millisecond,
 				Seed:        DeriveSeed(s.params.Seed, LiveMemFigureID, label),
 				Label:       LiveMemFigureID + "-" + label,

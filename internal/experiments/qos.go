@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"bps/internal/obs"
 	"bps/internal/qos"
 	"bps/internal/sim"
+	"bps/internal/trace"
 )
 
 // QoSFigureID names the multi-tenant QoS figure: tenant A's BPS with
@@ -49,31 +49,18 @@ func qosRunSpec(q qos.Config, tenants ...qos.TenantSpec) qos.RunSpec {
 	return qos.RunSpec{Servers: 4, Media: hdd, ServerCache: -1, QoS: q, Tenants: tenants}
 }
 
-// runQoSPoint executes one multi-tenant run on a fresh engine — the
-// qos-flavored sibling of runOne, returning the full qos.Result so the
-// sweep can read per-tenant outcomes.
-func runQoSPoint(seed int64, label string, shards int, observe *obs.Options, spec qos.RunSpec) (qos.Result, *Observation, error) {
-	e := sim.NewEngine(seed)
-	if shards > 0 {
-		e.EnableSharding(shards)
-	}
-	var ob *obs.Observer
-	if observe != nil {
-		ob = obs.Attach(e, *observe)
-	}
-	res, err := qos.Run(e, spec)
+// runQoS executes one multi-tenant run through Simulate, returning the
+// full qos.Result so the sweep can read per-tenant outcomes.
+func (s *Suite) runQoS(label string, spec qos.RunSpec) (res qos.Result, o *Observation, err error) {
+	ob, err := Simulate(DeriveSeed(s.params.Seed, QoSFigureID, label), s.params.Shards, s.observe,
+		func(e *sim.Engine) ([]trace.Record, error) {
+			res, err = qos.Run(e, spec)
+			return res.Records, err
+		})
 	if err != nil {
 		return qos.Result{}, nil, fmt.Errorf("run %s: %w", label, err)
 	}
-	var o *Observation
-	if ob != nil {
-		ob.FinishSampling()
-		for _, r := range res.Records {
-			ob.AddAppRecord(r.PID, r.Blocks, r.Start, r.End)
-		}
-		o = &Observation{Label: label, Obs: ob}
-	}
-	return res, o, nil
+	return res, observation(label, ob), nil
 }
 
 // qosPoint converts one run into the figure's point: the metrics are
@@ -120,10 +107,7 @@ func (s *Suite) qosSweep() ([]Point, error) {
 		aBytes := s.params.scaled(qosABytes, 1<<20)
 		bBytes := s.params.scaled(qosBBytes, 4<<10)
 
-		solo, soloObs, err := runQoSPoint(
-			DeriveSeed(s.params.Seed, QoSFigureID, "A-solo"), "A-solo",
-			s.params.Shards, s.observe,
-			qosRunSpec(qos.Config{}, qosTenantA(aBytes, 0)))
+		solo, soloObs, err := s.runQoS("A-solo", qosRunSpec(qos.Config{}, qosTenantA(aBytes, 0)))
 		if err != nil {
 			return nil, err
 		}
@@ -148,9 +132,7 @@ func (s *Suite) qosSweep() ([]Point, error) {
 		observations := make([]*Observation, len(specs))
 		err = ForEach(s.params.Parallel, len(specs), func(i int) error {
 			sp := specs[i]
-			res, ob, err := runQoSPoint(
-				DeriveSeed(s.params.Seed, QoSFigureID, sp.label), sp.label,
-				s.params.Shards, s.observe, sp.spec)
+			res, ob, err := s.runQoS(sp.label, sp.spec)
 			if err != nil {
 				return err
 			}

@@ -40,6 +40,7 @@ func runSpecWith(q Config, tenants ...TenantSpec) RunSpec {
 func mustRun(t *testing.T, seed int64, spec RunSpec) Result {
 	t.Helper()
 	e := sim.NewEngine(seed)
+	defer e.Shutdown()
 	res, err := Run(e, spec)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -109,6 +110,7 @@ func TestShardedWorkerInvariance(t *testing.T) {
 	run := func(workers int) Result {
 		e := sim.NewEngine(42)
 		e.EnableSharding(workers)
+		defer e.Shutdown()
 		res, err := Run(e, runSpecWith(Config{Enabled: true}, specA(5e4), specB()))
 		if err != nil {
 			t.Fatalf("sharded Run (w=%d): %v", workers, err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"bps/internal/core"
+	"bps/internal/device"
 	"bps/internal/faults"
 	"bps/internal/fsim"
 	"bps/internal/ioreq"
@@ -33,12 +34,16 @@ type TenantSpec struct {
 
 // RunSpec describes one multi-tenant engine run.
 type RunSpec struct {
-	// Servers selects the stack: 0 = direct-attached local file system,
-	// n ≥ 1 = PVFS-like cluster with n I/O servers.
+	// Servers selects the stack: 0 = direct-attached local file system
+	// on Device, n ≥ 1 = PVFS-like cluster with n I/O servers.
 	Servers int
 	Media   testbed.Media
 
-	// Faults, when enabled, degrades the stack with the given plan.
+	// Device is the local stack's device, built by the caller with
+	// whatever fault wrappers the run injects. Unused on a cluster.
+	Device device.Device
+
+	// Faults, when enabled, degrades the cluster with the given plan.
 	Faults faults.Config
 
 	// ServerCache overrides each I/O server's page-cache size (see
@@ -83,7 +88,7 @@ type Result struct {
 // Run executes every tenant's workload concurrently on one I/O system
 // built on e, with the QoS controller's admission middleware at the top
 // of each tenant's pipeline. The engine must be fresh; Run drives it to
-// completion and shuts it down.
+// completion and leaves its shutdown to the caller.
 //
 // On a sharded engine all tenant client processes share one engine
 // domain (like the shared client cache), so the controller's state is
@@ -114,7 +119,8 @@ func Run(e *sim.Engine, spec RunSpec) (Result, error) {
 
 	var cluster *pfs.Cluster
 	var localFS *fsim.FileSystem
-	if spec.Servers > 0 {
+	switch {
+	case spec.Servers > 0:
 		cluster, _ = testbed.NewCluster(e, testbed.ClusterSpec{
 			Servers:     spec.Servers,
 			Media:       spec.Media,
@@ -122,12 +128,12 @@ func Run(e *sim.Engine, spec RunSpec) (Result, error) {
 			Faults:      spec.Faults,
 			ServerCache: spec.ServerCache,
 		})
-	} else {
-		if e.Sharded() {
-			return Result{}, fmt.Errorf("qos: sharded runs need a cluster stack (Servers > 0)")
-		}
-		dev := faults.WrapDevice(e, testbed.NewDevice(e, spec.Media), spec.Faults, "local."+spec.Media.String())
-		localFS = fsim.New(e, dev, fsim.Config{Name: "local"})
+	case e.Sharded():
+		return Result{}, fmt.Errorf("qos: sharded runs need a cluster stack (Servers > 0)")
+	case spec.Device == nil:
+		return Result{}, fmt.Errorf("qos: a local stack needs a Device")
+	default:
+		localFS = fsim.New(e, spec.Device, fsim.Config{Name: "local"})
 	}
 	moved := func() int64 {
 		if cluster != nil {
@@ -165,7 +171,6 @@ func Run(e *sim.Engine, spec RunSpec) (Result, error) {
 	if err := e.Run(); err != nil {
 		return Result{}, fmt.Errorf("qos: simulation: %w", err)
 	}
-	e.Shutdown()
 
 	res := Result{Report: ctl.Report()}
 	for i, pend := range pendings {

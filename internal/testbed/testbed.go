@@ -88,16 +88,7 @@ func NewLocalEnvOn(e *sim.Engine, dev device.Device, nfiles int, fileSize int64)
 // with nfiles preallocated files. No page cache: the paper flushes caches
 // before each local run.
 func NewLocalEnv(e *sim.Engine, m Media, nfiles int, fileSize int64) (*workload.LocalEnv, error) {
-	fs := fsim.New(e, NewDevice(e, m), fsim.Config{Name: "local." + m.String()})
-	env := &workload.LocalEnv{FS: fs}
-	for i := 0; i < nfiles; i++ {
-		f, err := fs.Create(fmt.Sprintf("file%d", i), fileSize)
-		if err != nil {
-			return nil, err
-		}
-		env.Files = append(env.Files, f)
-	}
-	return env, nil
+	return NewLocalEnvOn(e, NewDevice(e, m), nfiles, fileSize)
 }
 
 // ClusterSpec describes a PVFS-like deployment for one run.

@@ -6,7 +6,6 @@ import (
 	"bps/internal/backend"
 	"bps/internal/clock"
 	"bps/internal/live"
-	"bps/internal/sim"
 )
 
 // LiveConfig parameterizes a live measurement run: the same access
@@ -68,7 +67,7 @@ func (cfg LiveConfig) liveConfig() live.Config {
 	}
 	cost := clock.CostModel{PerOp: cfg.CostPerOp, BytesPerSec: cfg.CostBytesPerSec}
 	if cost.PerOp == 0 && cost.BytesPerSec == 0 {
-		cost = clock.CostModel{PerOp: 100 * sim.Microsecond, BytesPerSec: 200e6}
+		cost = clock.DefaultCost()
 	}
 	label := cfg.Label
 	if label == "" {

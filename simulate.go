@@ -12,9 +12,7 @@ import (
 	"bps/internal/device"
 	"bps/internal/experiments"
 	"bps/internal/faults"
-	"bps/internal/fsim"
 	"bps/internal/ioreq"
-	"bps/internal/pfs"
 	"bps/internal/sim"
 	"bps/internal/testbed"
 	"bps/internal/workload"
@@ -77,19 +75,16 @@ type Storage struct {
 	// ClientCacheBytes, when positive on a cluster stack, layers a
 	// shared client-side page cache in front of every client: re-read
 	// pages are served at memory speed without touching the fabric or
-	// the servers. Zero leaves the request path exactly as before.
+	// the servers. Zero leaves the request path exactly as before. Only
+	// SimulateSequentialRead and SimulateNoncontiguousRead on a cluster
+	// model the cache; every other run rejects a non-zero value rather
+	// than measure an uncached stack.
 	ClientCacheBytes int64
 
 	// ClientCacheReadAhead is the client cache's sequential read-ahead
 	// window in bytes (0 = no read-ahead). Only meaningful when
 	// ClientCacheBytes is positive.
 	ClientCacheReadAhead int64
-}
-
-// clientCache translates the public cache knobs into the testbed's
-// cache config.
-func (s Storage) clientCache() ioreq.CacheConfig {
-	return ioreq.CacheConfig{CapacityBytes: s.ClientCacheBytes, ReadAhead: s.ClientCacheReadAhead}
 }
 
 // ParseStack interprets the command-line stack grammar: hdd or ssd for
@@ -221,141 +216,80 @@ type AppSpec struct {
 // metrics over every application's accesses — plus one report per
 // application.
 //
-// Process IDs are globally unique across applications. Each process
-// gets its own file; on a cluster each file is striped over all servers.
-// MovedBytes in every report is the system-wide total: file-system-level
-// movement is not attributable to one application, which is exactly why
-// the paper gathers a global collection.
+// It is SimulateTenants with a zero QoSConfig: each application becomes
+// a tenant of the same name (so names must be non-empty and distinct),
+// admitted unarbitrated. Process IDs are globally unique across
+// applications. Each process gets its own file; on a cluster each file
+// is striped over all servers. MovedBytes in every report is the
+// system-wide total: file-system-level movement is not attributable to
+// one application, which is exactly why the paper gathers a global
+// collection.
 func SimulateConcurrentApps(cfg RunConfig, apps ...AppSpec) (combined RunReport, perApp []RunReport, err error) {
 	if len(apps) == 0 {
 		return RunReport{}, nil, fmt.Errorf("bps: no applications given")
 	}
-	e, err := newEngine(cfg)
-	if err != nil {
-		return RunReport{}, nil, err
-	}
-	ob := attachObserver(e, cfg)
-
-	// Shared infrastructure.
-	var cluster *pfs.Cluster
-	var localFS *fsim.FileSystem
-	if cfg.Storage.Servers > 0 {
-		cluster, _ = testbed.NewCluster(e, testbed.ClusterSpec{
-			Servers: cfg.Storage.Servers,
-			Media:   cfg.Storage.Media,
-			Clients: 0,
-			Faults:  faultPlan(cfg),
-		})
-	} else {
-		localFS = fsim.New(e, localDevice(e, cfg), fsim.Config{Name: "local"})
-	}
-	moved := func() int64 {
-		if cluster != nil {
-			return cluster.Moved()
-		}
-		return localFS.Moved()
-	}
-
-	var pendings []*workload.Pending
-	firstPID := int64(0)
-	for ai, app := range apps {
-		if app.Processes < 1 || app.BytesPerProcess <= 0 || app.RecordSize <= 0 {
-			return RunReport{}, nil, fmt.Errorf("bps: app %q: processes, bytes and record size must be positive", app.Name)
-		}
-		env, err := appEnv(e, cluster, localFS, ai, app)
-		if err != nil {
-			return RunReport{}, nil, fmt.Errorf("bps: app %q: %w", app.Name, err)
-		}
-		w := workload.SeqRead{
-			Label:           app.Name,
+	tenants := make([]TenantSpec, len(apps))
+	for i, app := range apps {
+		tenants[i] = TenantSpec{
+			Tenant:          QoSTenant{Name: app.Name},
 			Processes:       app.Processes,
 			BytesPerProcess: app.BytesPerProcess,
 			RecordSize:      app.RecordSize,
 			ComputePerOp:    app.ComputePerOp,
-			FirstPID:        firstPID,
 		}
-		firstPID += int64(app.Processes)
-		pend, err := w.Start(e, env)
-		if err != nil {
-			return RunReport{}, nil, fmt.Errorf("bps: app %q: %w", app.Name, err)
-		}
-		pendings = append(pendings, pend)
 	}
-	if err := e.Run(); err != nil {
-		return RunReport{}, nil, fmt.Errorf("bps: simulation: %w", err)
-	}
-	e.Shutdown()
-
-	var allRecords []Record
-	var errs int
-	for _, pend := range pendings {
-		res := pend.Result()
-		perApp = append(perApp, RunReport{
-			Metrics: core.Compute(res.Trace, moved(), res.ExecTime),
-			Records: res.Trace.Records(),
-			Errors:  res.Errors,
-		})
-		allRecords = append(allRecords, res.Trace.Records()...)
-		errs += res.Errors
-	}
-	ob = finishObservation(ob, allRecords)
-	combined = RunReport{
-		Metrics:     ComputeMetrics(allRecords, moved(), e.Now()),
-		Records:     allRecords,
-		Errors:      errs,
-		Obs:         ob,
-		Attribution: ob.Attribution(),
-	}
-	return combined, perApp, nil
+	combined, perApp, _, err = SimulateTenants(cfg, QoSConfig{}, tenants...)
+	return combined, perApp, err
 }
 
-// appEnv builds application ai's private files and clients on the
-// shared infrastructure.
-func appEnv(e *sim.Engine, cluster *pfs.Cluster, localFS *fsim.FileSystem, ai int, app AppSpec) (workload.Env, error) {
-	if cluster != nil {
-		env := &workload.ClusterEnv{Cluster: cluster}
-		for i := 0; i < app.Processes; i++ {
-			f, err := cluster.Create(fmt.Sprintf("app%d.file%d", ai, i), app.BytesPerProcess, cluster.DefaultLayout())
-			if err != nil {
-				return nil, err
-			}
-			env.Files = append(env.Files, f)
-			env.Clients = append(env.Clients, cluster.NewClient(fmt.Sprintf("app%d.cn%d", ai, i)))
-		}
-		return env, nil
-	}
-	env := &workload.LocalEnv{FS: localFS}
-	for i := 0; i < app.Processes; i++ {
-		f, err := localFS.Create(fmt.Sprintf("app%d.file%d", ai, i), app.BytesPerProcess)
-		if err != nil {
-			return nil, err
-		}
-		env.Files = append(env.Files, f)
-	}
-	return env, nil
-}
-
-// newEngine builds one run's engine in the execution mode RunConfig
-// selects: classic single-calendar, or sharded with cfg.Shards workers
-// (GOMAXPROCS when negative). Sharding partitions the simulation by
-// I/O server, so it needs a cluster stack. Every run passes through
-// here, so it also rejects a FaultRate that is not a probability.
-func newEngine(cfg RunConfig) (*sim.Engine, error) {
-	if r := cfg.Storage.FaultRate; math.IsNaN(r) || r < 0 || r > 1 {
+// run validates cfg's public knobs and executes body through the one
+// run lifecycle, experiments.Simulate. Every simulated entry point
+// passes through here. cached reports whether the entry point models
+// the client cache; where it does not (or on a local stack) a non-zero
+// cache knob is an error rather than silently ignored. Sharding
+// partitions the simulation by I/O server, so it needs a cluster stack;
+// negative Shards means GOMAXPROCS.
+func run(cfg RunConfig, cached bool, body func(e *sim.Engine) ([]Record, error)) (*Observer, error) {
+	s := cfg.Storage
+	if r := s.FaultRate; math.IsNaN(r) || r < 0 || r > 1 {
 		return nil, fmt.Errorf("bps: FaultRate %v outside [0,1]", r)
 	}
-	e := sim.NewEngine(cfg.Seed)
+	if (s.ClientCacheBytes != 0 || s.ClientCacheReadAhead != 0) && (!cached || s.Servers == 0) {
+		return nil, fmt.Errorf("bps: the client cache is modelled only by SimulateSequentialRead and SimulateNoncontiguousRead on a cluster stack")
+	}
 	shards := cfg.Shards
 	if shards < 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	if shards > 0 {
-		if cfg.Storage.Servers == 0 {
-			return nil, fmt.Errorf("bps: Shards needs a cluster stack (Storage.Servers > 0)")
-		}
-		e.EnableSharding(shards)
+	if shards > 0 && s.Servers == 0 {
+		return nil, fmt.Errorf("bps: Shards needs a cluster stack (Storage.Servers > 0)")
 	}
-	return e, nil
+	return experiments.Simulate(cfg.Seed, shards, cfg.Observe, body)
+}
+
+// runWorkload runs w on the env build makes and reports it.
+func runWorkload(cfg RunConfig, cached bool, w workload.Runner, build func(e *sim.Engine) (workload.Env, error)) (RunReport, error) {
+	var res workload.Result
+	ob, err := run(cfg, cached, func(e *sim.Engine) ([]Record, error) {
+		env, err := build(e)
+		if err != nil {
+			return nil, fmt.Errorf("bps: building storage: %w", err)
+		}
+		if res, err = w.Run(e, env); err != nil {
+			return nil, fmt.Errorf("bps: running workload: %w", err)
+		}
+		return res.Trace.Records(), nil
+	})
+	if err != nil {
+		return RunReport{}, err
+	}
+	return RunReport{
+		Metrics:     core.Compute(res.Trace, res.Moved, res.ExecTime),
+		Records:     res.Trace.Records(),
+		Errors:      res.Errors,
+		Obs:         ob,
+		Attribution: ob.Attribution(),
+	}, nil
 }
 
 // faultPlan derives the run's fault plan from the public FaultRate
@@ -366,10 +300,27 @@ func faultPlan(cfg RunConfig) faults.Config {
 	return faults.Profile(experiments.DeriveSeed(cfg.Seed, "bps-fault-plan", "run"), cfg.Storage.FaultRate)
 }
 
-// localDevice builds a local-stack device with the configured fault
+// clusterSpec translates cfg's storage knobs into the testbed's cluster
+// spec with the given client count.
+func clusterSpec(cfg RunConfig, clients int) testbed.ClusterSpec {
+	return testbed.ClusterSpec{
+		Servers:     cfg.Storage.Servers,
+		Media:       cfg.Storage.Media,
+		Clients:     clients,
+		Faults:      faultPlan(cfg),
+		ClientCache: ioreq.CacheConfig{CapacityBytes: cfg.Storage.ClientCacheBytes, ReadAhead: cfg.Storage.ClientCacheReadAhead},
+	}
+}
+
+// localDevice builds a local stack's device with the configured fault
 // wrappers: the deterministic every-Nth injector (FaultEvery) and/or
-// the seeded plan's device faults (FaultRate).
+// the seeded plan's device faults (FaultRate). With neither it is the
+// bare device. It returns nil on a cluster stack, whose devices the
+// testbed builds per server.
 func localDevice(e *sim.Engine, cfg RunConfig) device.Device {
+	if cfg.Storage.Servers > 0 {
+		return nil
+	}
 	dev := testbed.NewDevice(e, cfg.Storage.Media)
 	if cfg.Storage.FaultEvery > 0 {
 		dev = faults.NewEveryNth(dev, cfg.Storage.FaultEvery)
@@ -382,52 +333,16 @@ func simulate(cfg RunConfig, procs int, totalBytes, perProcBytes int64, w worklo
 	if procs < 1 {
 		return RunReport{}, fmt.Errorf("bps: procs %d < 1", procs)
 	}
-	e, err := newEngine(cfg)
-	if err != nil {
-		return RunReport{}, err
-	}
-	ob := attachObserver(e, cfg)
-	var env workload.Env
-	switch {
-	case cfg.Storage.Servers == 0:
-		if cfg.Storage.FaultEvery > 0 || cfg.Storage.FaultRate > 0 {
-			env, err = testbed.NewLocalEnvOn(e, localDevice(e, cfg), procs, perProcBytes)
-		} else {
-			env, err = testbed.NewLocalEnv(e, cfg.Storage.Media, procs, perProcBytes)
+	return runWorkload(cfg, true, w, func(e *sim.Engine) (workload.Env, error) {
+		switch {
+		case cfg.Storage.Servers == 0:
+			return testbed.NewLocalEnvOn(e, localDevice(e, cfg), procs, perProcBytes)
+		case cfg.Storage.SharedFile:
+			return testbed.NewSharedFileEnv(e, clusterSpec(cfg, procs), totalBytes)
+		default:
+			return testbed.NewPinnedFilesEnv(e, clusterSpec(cfg, procs), perProcBytes)
 		}
-	case cfg.Storage.SharedFile:
-		env, err = testbed.NewSharedFileEnv(e, testbed.ClusterSpec{
-			Servers:     cfg.Storage.Servers,
-			Media:       cfg.Storage.Media,
-			Clients:     procs,
-			Faults:      faultPlan(cfg),
-			ClientCache: cfg.Storage.clientCache(),
-		}, totalBytes)
-	default:
-		env, err = testbed.NewPinnedFilesEnv(e, testbed.ClusterSpec{
-			Servers:     cfg.Storage.Servers,
-			Media:       cfg.Storage.Media,
-			Clients:     procs,
-			Faults:      faultPlan(cfg),
-			ClientCache: cfg.Storage.clientCache(),
-		}, perProcBytes)
-	}
-	if err != nil {
-		return RunReport{}, fmt.Errorf("bps: building storage: %w", err)
-	}
-	res, err := w.Run(e, env)
-	if err != nil {
-		return RunReport{}, fmt.Errorf("bps: running workload: %w", err)
-	}
-	e.Shutdown()
-	ob = finishObservation(ob, res.Trace.Records())
-	return RunReport{
-		Metrics:     core.Compute(res.Trace, res.Moved, res.ExecTime),
-		Records:     res.Trace.Records(),
-		Errors:      res.Errors,
-		Obs:         ob,
-		Attribution: ob.Attribution(),
-	}, nil
+	})
 }
 
 // ReplayTrace re-issues a recorded trace (from any source: a prior
@@ -472,35 +387,7 @@ func ReplayAccesses(cfg RunConfig, accs []workload.Access) (RunReport, error) {
 // replayOn builds a replay env with one file per fileSizes entry and
 // runs w on it.
 func replayOn(cfg RunConfig, w workload.Runner, fileSizes []int64) (RunReport, error) {
-	e, err := newEngine(cfg)
-	if err != nil {
-		return RunReport{}, err
-	}
-	ob := attachObserver(e, cfg)
-	spec := testbed.ClusterSpec{
-		Servers: cfg.Storage.Servers,
-		Media:   cfg.Storage.Media,
-		Faults:  faultPlan(cfg),
-	}
-	var dev device.Device
-	if spec.Servers == 0 {
-		dev = localDevice(e, cfg)
-	}
-	env, err := testbed.NewFilesEnv(e, spec, dev, "replay", fileSizes)
-	if err != nil {
-		return RunReport{}, fmt.Errorf("bps: replay: %w", err)
-	}
-	res, err := w.Run(e, env)
-	if err != nil {
-		return RunReport{}, fmt.Errorf("bps: replay: %w", err)
-	}
-	e.Shutdown()
-	ob = finishObservation(ob, res.Trace.Records())
-	return RunReport{
-		Metrics:     core.Compute(res.Trace, res.Moved, res.ExecTime),
-		Records:     res.Trace.Records(),
-		Errors:      res.Errors,
-		Obs:         ob,
-		Attribution: ob.Attribution(),
-	}, nil
+	return runWorkload(cfg, false, w, func(e *sim.Engine) (workload.Env, error) {
+		return testbed.NewFilesEnv(e, clusterSpec(cfg, 0), localDevice(e, cfg), "replay", fileSizes)
+	})
 }

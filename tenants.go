@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"bps/internal/qos"
+	"bps/internal/sim"
 )
 
 // QoSConfig configures the multi-tenant admission controller: the
@@ -51,20 +52,24 @@ func SimulateTenants(cfg RunConfig, q QoSConfig, tenants ...TenantSpec) (combine
 	if len(tenants) == 0 {
 		return RunReport{}, nil, nil, fmt.Errorf("bps: no tenants given")
 	}
-	e, err := newEngine(cfg)
-	if err != nil {
-		return RunReport{}, nil, nil, err
-	}
-	ob := attachObserver(e, cfg)
-	res, err := qos.Run(e, qos.RunSpec{
-		Servers: cfg.Storage.Servers,
-		Media:   cfg.Storage.Media,
-		Faults:  faultPlan(cfg),
-		QoS:     q,
-		Tenants: tenants,
+	var res qos.Result
+	ob, err := run(cfg, false, func(e *sim.Engine) ([]Record, error) {
+		var err error
+		res, err = qos.Run(e, qos.RunSpec{
+			Servers: cfg.Storage.Servers,
+			Media:   cfg.Storage.Media,
+			Device:  localDevice(e, cfg),
+			Faults:  faultPlan(cfg),
+			QoS:     q,
+			Tenants: tenants,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("bps: %w", err)
+		}
+		return res.Records, nil
 	})
 	if err != nil {
-		return RunReport{}, nil, nil, fmt.Errorf("bps: %w", err)
+		return RunReport{}, nil, nil, err
 	}
 	for _, t := range res.Tenants {
 		perTenant = append(perTenant, RunReport{
@@ -73,7 +78,6 @@ func SimulateTenants(cfg RunConfig, q QoSConfig, tenants ...TenantSpec) (combine
 			Errors:  t.Errors,
 		})
 	}
-	ob = finishObservation(ob, res.Records)
 	combined = RunReport{
 		Metrics:     res.Combined,
 		Records:     res.Records,
