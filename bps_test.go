@@ -158,6 +158,17 @@ func TestSimulateValidation(t *testing.T) {
 			t.Errorf("replay with FaultRate %v accepted", rate)
 		}
 	}
+	// FaultEvery wraps the local device only; a cluster stack must
+	// reject it rather than silently run fault-free.
+	for _, shared := range []bool{false, true} {
+		cfg := RunConfig{Storage: Storage{Media: HDD, Servers: 2, SharedFile: shared, FaultEvery: 3}}
+		if _, err := SimulateSequentialRead(cfg, 2, 1<<20, 64<<10); err == nil || !strings.Contains(err.Error(), "FaultEvery") {
+			t.Errorf("FaultEvery on cluster (shared %v): err = %v", shared, err)
+		}
+		if _, err := ReplayTrace(cfg, []Record{{PID: 1, Blocks: 1, End: 1}}); err == nil || !strings.Contains(err.Error(), "FaultEvery") {
+			t.Errorf("replay with FaultEvery on cluster (shared %v): err = %v", shared, err)
+		}
+	}
 	// Only SimulateSequentialRead and SimulateNoncontiguousRead on a
 	// cluster model the client cache; everything else must reject it
 	// instead of silently measuring an uncached stack.

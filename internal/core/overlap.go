@@ -54,22 +54,14 @@ func OverlapTime(records []trace.Record) sim.Time {
 	return total
 }
 
-// OverlapIntervals computes the union length of arbitrary intervals.
-// The slice is sorted in place.
+// OverlapIntervals computes the union length of arbitrary intervals
+// with the paper's Fig. 3 algorithm: sort ivs in place by start, then
+// walk them, extending the current merged interval while the next one
+// begins before (or exactly when) it ends, otherwise closing it and
+// starting a new one.
 func OverlapIntervals(ivs []Interval) sim.Time {
-	var total sim.Time
-	mergeIntervals(ivs, func(iv Interval) { total += iv.Duration() })
-	return total
-}
-
-// mergeIntervals is the paper's Fig. 3 algorithm: sort ivs in place by
-// start, then walk them, extending the current merged interval while the
-// next one begins before (or exactly when) it ends, otherwise emitting
-// it and starting a new one. emit sees the disjoint spans of the union
-// in time order.
-func mergeIntervals(ivs []Interval, emit func(Interval)) {
 	if len(ivs) == 0 {
-		return
+		return 0
 	}
 	sort.Slice(ivs, func(i, j int) bool {
 		if ivs[i].Start != ivs[j].Start {
@@ -77,10 +69,11 @@ func mergeIntervals(ivs []Interval, emit func(Interval)) {
 		}
 		return ivs[i].End < ivs[j].End
 	})
+	var total sim.Time
 	cur := ivs[0]
 	for _, next := range ivs[1:] {
 		if cur.End < next.Start {
-			emit(cur)
+			total += cur.Duration()
 			cur = next
 			continue
 		}
@@ -88,7 +81,7 @@ func mergeIntervals(ivs []Interval, emit func(Interval)) {
 			cur.End = next.End
 		}
 	}
-	emit(cur)
+	return total + cur.Duration()
 }
 
 // SumTime is the naive alternative to OverlapTime: the arithmetic sum of

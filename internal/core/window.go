@@ -55,15 +55,16 @@ func (w Window) Utilization() float64 {
 
 // WindowEstimator ingests accesses as they complete and maintains
 // per-window accumulators on a fixed grid: ops, blocks and durations
-// land in their bucket in O(1), and the per-window busy union is
-// resolved at Windows(). The series does not depend on the order of
-// Add calls, so the live series equals the post-hoc Timeline.
+// land in their bucket in O(1), the busy union grows online as in
+// Accumulator, and Windows() spreads it over the grid. The series does
+// not depend on the order of Add calls, so the live series equals the
+// post-hoc Timeline.
 type WindowEstimator struct {
 	every sim.Time
 	ops   []int64
 	blk   []int64
 	dur   []sim.Time
-	ivs   []Interval
+	busy  busySpans
 
 	minStart sim.Time
 }
@@ -107,9 +108,7 @@ func (e *WindowEstimator) Add(blocks int64, start, end sim.Time) {
 	e.ops[idx]++
 	e.blk[idx] += blocks
 	e.dur[idx] += end - start
-	if end > start {
-		e.ivs = append(e.ivs, Interval{Start: start, End: end})
-	}
+	e.busy.add(start, end)
 }
 
 // Windows assembles the time series: every window from the one holding
@@ -134,16 +133,15 @@ func (e *WindowEstimator) Windows() []Window {
 		w.SumDur += e.dur[idx]
 	}
 
-	// Busy: spread each merged span of the union over the windows it
-	// crosses.
-	mergeIntervals(append([]Interval(nil), e.ivs...), func(iv Interval) {
+	// Busy: spread each span of the union over the windows it crosses.
+	for _, iv := range e.busy.list {
 		for t := iv.Start; t < iv.End; {
 			w := &wins[int(t/e.every)-first]
 			seg := min(iv.End, w.End)
 			w.Busy += seg - t
 			t = seg
 		}
-	})
+	}
 	return wins
 }
 

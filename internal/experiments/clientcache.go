@@ -71,7 +71,7 @@ func (s *Suite) clientCacheSweep() ([]Point, error) {
 		var specs []runSpec
 		for i, fr := range clientCacheFractions {
 			i, fr := i, fr
-			specs = append(specs, runSpec{label: fr.label, build: func(e *sim.Engine) (workload.Env, workload.Runner, error) {
+			specs = append(specs, runSpec{label: fr.label, build: func(e *sim.Engine) (workload.Env, workload.Starter, error) {
 				env, err := newSharedFileEnv(e, clusterSpec{
 					Servers:     servers,
 					Media:       hdd,

@@ -47,7 +47,7 @@ func (s *Suite) ext1() (Figure, error) {
 			if win > 0 {
 				label = sizeLabel(win)
 			}
-			specs = append(specs, runSpec{label: label, build: func(e *sim.Engine) (workload.Env, workload.Runner, error) {
+			specs = append(specs, runSpec{label: label, build: func(e *sim.Engine) (workload.Env, workload.Starter, error) {
 				env, err := newLocalEnv(e, hdd, 1, fileSize)
 				return env, w, err
 			}})
@@ -84,7 +84,7 @@ func (s *Suite) ext2() (Figure, error) {
 				RecordSize:      record,
 				Write:           true,
 			}
-			specs = append(specs, runSpec{label: sizeLabel(record), build: func(e *sim.Engine) (workload.Env, workload.Runner, error) {
+			specs = append(specs, runSpec{label: sizeLabel(record), build: func(e *sim.Engine) (workload.Env, workload.Starter, error) {
 				env, err := testbed.NewLocalEnvOn(e, testbed.NewFTLSSD(e), 1, fileSize)
 				return env, w, err
 			}})
@@ -130,7 +130,7 @@ func (s *Suite) ext3() (Figure, error) {
 				Method:       method,
 			}
 			fileSize := w.RequiredBytes()
-			specs = append(specs, runSpec{label: method.String(), build: func(e *sim.Engine) (workload.Env, workload.Runner, error) {
+			specs = append(specs, runSpec{label: method.String(), build: func(e *sim.Engine) (workload.Env, workload.Starter, error) {
 				env, err := newLocalEnv(e, hdd, 1, fileSize)
 				return env, w, err
 			}})

@@ -70,7 +70,7 @@ func (s *Suite) faultSweep() ([]Point, error) {
 			// point's fault pattern is a pure function of stable
 			// identifiers — bit-identical across worker counts.
 			planSeed := DeriveSeed(s.params.Seed, "faultsweep-plan", label)
-			specs = append(specs, runSpec{label: label, build: func(e *sim.Engine) (workload.Env, workload.Runner, error) {
+			specs = append(specs, runSpec{label: label, build: func(e *sim.Engine) (workload.Env, workload.Starter, error) {
 				env, err := newSharedFileEnv(e, clusterSpec{
 					Servers: servers,
 					Media:   hdd,

@@ -31,14 +31,14 @@ func (s *Suite) set1() ([]Point, error) {
 		var specs []runSpec
 		for _, k := range []storageKind{hdd, ssd} {
 			k := k
-			specs = append(specs, runSpec{label: "local-" + k.String(), build: func(e *sim.Engine) (workload.Env, workload.Runner, error) {
+			specs = append(specs, runSpec{label: "local-" + k.String(), build: func(e *sim.Engine) (workload.Env, workload.Starter, error) {
 				env, err := newLocalEnv(e, k, 1, fileSize)
 				return env, w, err
 			}})
 		}
 		for _, n := range []int{1, 2, 4, 8} {
 			n := n
-			specs = append(specs, runSpec{label: fmt.Sprintf("pvfs-%ds", n), build: func(e *sim.Engine) (workload.Env, workload.Runner, error) {
+			specs = append(specs, runSpec{label: fmt.Sprintf("pvfs-%ds", n), build: func(e *sim.Engine) (workload.Env, workload.Starter, error) {
 				env, err := newSharedFileEnv(e, clusterSpec{Servers: n, Media: hdd, Clients: 1}, fileSize)
 				return env, w, err
 			}})
@@ -64,7 +64,7 @@ func (s *Suite) set2(k storageKind) ([]Point, error) {
 				BytesPerProcess: fileSize,
 				RecordSize:      record,
 			}
-			specs = append(specs, runSpec{label: sizeLabel(record), build: func(e *sim.Engine) (workload.Env, workload.Runner, error) {
+			specs = append(specs, runSpec{label: sizeLabel(record), build: func(e *sim.Engine) (workload.Env, workload.Starter, error) {
 				env, err := newLocalEnv(e, k, 1, fileSize)
 				return env, w, err
 			}})
@@ -93,7 +93,7 @@ func (s *Suite) set3a() ([]Point, error) {
 				BytesPerProcess: perProc,
 				RecordSize:      record,
 			}
-			specs = append(specs, runSpec{label: fmt.Sprintf("%dp", procs), build: func(e *sim.Engine) (workload.Env, workload.Runner, error) {
+			specs = append(specs, runSpec{label: fmt.Sprintf("%dp", procs), build: func(e *sim.Engine) (workload.Env, workload.Starter, error) {
 				env, err := newPinnedFilesEnv(e, clusterSpec{Servers: 8, Media: hdd, Clients: procs}, perProc)
 				return env, w, err
 			}})
@@ -125,7 +125,7 @@ func (s *Suite) set3b() ([]Point, error) {
 				UseMPIIO:        true,
 				StartOffset:     func(pid int) int64 { return int64(pid) * segment },
 			}
-			specs = append(specs, runSpec{label: fmt.Sprintf("%dp", procs), build: func(e *sim.Engine) (workload.Env, workload.Runner, error) {
+			specs = append(specs, runSpec{label: fmt.Sprintf("%dp", procs), build: func(e *sim.Engine) (workload.Env, workload.Starter, error) {
 				env, err := newSharedFileEnv(e, clusterSpec{Servers: 8, Media: hdd, Clients: procs}, fileSize)
 				return env, w, err
 			}})
@@ -166,7 +166,7 @@ func (s *Suite) set4() ([]Point, error) {
 			}
 			span := w.Span() + w.RegionSpacing
 			fileSize := span * procs
-			specs = append(specs, runSpec{label: fmt.Sprintf("gap%dB", spacing), build: func(e *sim.Engine) (workload.Env, workload.Runner, error) {
+			specs = append(specs, runSpec{label: fmt.Sprintf("gap%dB", spacing), build: func(e *sim.Engine) (workload.Env, workload.Starter, error) {
 				env, err := newSharedFileEnv(e, clusterSpec{Servers: 4, Media: hdd, Clients: procs}, fileSize)
 				return env, w, err
 			}})

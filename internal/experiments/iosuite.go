@@ -117,7 +117,7 @@ func suiteSpec(p Params) []suitePhaseSpec {
 				procs:  procs,
 				record: record,
 				spec:   cs,
-				build: func(e *sim.Engine) (workload.Env, workload.Runner, error) {
+				build: func(e *sim.Engine) (workload.Env, workload.Starter, error) {
 					env, err := newSharedFileEnv(e, cs, int64(procs)*perProc)
 					if err != nil {
 						return nil, nil, err
@@ -150,7 +150,7 @@ func suiteSpec(p Params) []suitePhaseSpec {
 				procs:  procs,
 				record: record,
 				spec:   cs,
-				build: func(e *sim.Engine) (workload.Env, workload.Runner, error) {
+				build: func(e *sim.Engine) (workload.Env, workload.Starter, error) {
 					env, err := newSharedFileEnv(e, cs, int64(procs)*perProc)
 					if err != nil {
 						return nil, nil, err
@@ -190,7 +190,7 @@ func suiteSpec(p Params) []suitePhaseSpec {
 				procs:  procs,
 				record: record,
 				spec:   cs,
-				build: func(e *sim.Engine) (workload.Env, workload.Runner, error) {
+				build: func(e *sim.Engine) (workload.Env, workload.Starter, error) {
 					env, err := newSharedFileEnv(e, cs, fileSize)
 					if err != nil {
 						return nil, nil, err
@@ -233,7 +233,7 @@ func suiteSpec(p Params) []suitePhaseSpec {
 				record:     record,
 				extraPerOp: extra,
 				spec:       cs,
-				build: func(e *sim.Engine) (workload.Env, workload.Runner, error) {
+				build: func(e *sim.Engine) (workload.Env, workload.Starter, error) {
 					env, err := newMetaFilesEnv(e, cs, files, fileSize)
 					if err != nil {
 						return nil, nil, err

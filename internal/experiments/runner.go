@@ -31,7 +31,7 @@ import (
 // buildFunc constructs one run's environment and workload on a fresh
 // engine. It must be safe to call from any worker goroutine: everything
 // it closes over is read-only after the sweep is described.
-type buildFunc func(e *sim.Engine) (workload.Env, workload.Runner, error)
+type buildFunc func(e *sim.Engine) (workload.Env, workload.Starter, error)
 
 // runSpec is one sweep point awaiting execution.
 type runSpec struct {

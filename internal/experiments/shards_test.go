@@ -1,26 +1,11 @@
 package experiments
 
 import (
-	"os"
 	"reflect"
-	"strconv"
 	"testing"
-)
 
-// shardWorkerCounts mirrors the sim/testbed helpers: worker counts
-// compared against a 1-worker run, overridable to one count via
-// BPS_TEST_SHARDS (CI's shard matrix).
-func shardWorkerCounts(t *testing.T) []int {
-	t.Helper()
-	if s := os.Getenv("BPS_TEST_SHARDS"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 1 {
-			t.Fatalf("BPS_TEST_SHARDS=%q: want a positive integer", s)
-		}
-		return []int{n}
-	}
-	return []int{2, 4, 8}
-}
+	"bps/internal/shardtest"
+)
 
 // shardedFig9 reproduces fig9 (the process-count sweep on the parallel
 // stack — the most contention-heavy paper figure) at tiny scale on a
@@ -49,7 +34,7 @@ func TestShardsParamWorkerInvariance(t *testing.T) {
 			t.Fatalf("degenerate point %q: ExecTime %v", pt.Label, pt.Metrics.ExecTime)
 		}
 	}
-	for _, w := range shardWorkerCounts(t) {
+	for _, w := range shardtest.WorkerCounts(t, 2, 4, 8) {
 		got := shardedFig9(t, w)
 		if !reflect.DeepEqual(base, got) {
 			t.Errorf("fig9 with shards=%d diverged from shards=1", w)

@@ -65,7 +65,7 @@ func (s *Suite) shardScaleSweep() ([]Point, error) {
 				StartOffset:     func(pid int) int64 { return int64(pid) * perProc },
 			}
 			pt, ob, err := runOne(DeriveSeed(s.params.Seed, ShardScaleFigureID, label), label, workers, s.observe,
-				func(e *sim.Engine) (workload.Env, workload.Runner, error) {
+				func(e *sim.Engine) (workload.Env, workload.Starter, error) {
 					env, err := newSharedFileEnv(e, clusterSpec{
 						Servers: shardScaleServers,
 						Media:   ssd,

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"bps/internal/core"
 	"bps/internal/obs"
 	"bps/internal/sim"
 	"bps/internal/testbed"
@@ -52,7 +51,8 @@ func newPinnedFilesEnv(e *sim.Engine, spec clusterSpec, filePerProc int64) (*wor
 //     which of its features can run against concurrent domains;
 //  3. attaches an observer when observe is non-nil;
 //  4. runs body, which builds the stack, drives the workload and returns
-//     the gathered application records;
+//     the gathered application records (only an observed run reads
+//     them, so an unobserved body may return none);
 //  5. shuts the engine down, unwinding server daemons so sweeps don't
 //     accumulate goroutines (also when body fails);
 //  6. takes the sampler's final sample and feeds the records to the
@@ -95,10 +95,13 @@ func observation(label string, ob *obs.Observer) *Observation {
 
 // runOne executes one workload run through Simulate and converts the
 // result into a sweep point. When observe is non-nil the run gets its
-// own observer, returned alongside the point. shards > 0 runs the
-// simulation on a sharded engine with that many workers (results are
-// bit-identical for every positive value); 0 keeps the classic
-// single-calendar engine.
+// own observer, returned alongside the point, and keeps its records for
+// it. Otherwise nothing reads the records, so the run drops them and
+// its metrics come from the online accumulators (Pending.DropRecords),
+// which give the same values with no record buffer, gather copy or
+// sort. shards > 0 runs the simulation on a sharded engine with that
+// many workers (results are bit-identical for every positive value); 0
+// keeps the classic single-calendar engine.
 func runOne(seed int64, label string, shards int, observe *obs.Options, build buildFunc) (Point, *Observation, error) {
 	var res workload.Result
 	ob, err := Simulate(seed, shards, observe, func(e *sim.Engine) ([]trace.Record, error) {
@@ -106,9 +109,17 @@ func runOne(seed int64, label string, shards int, observe *obs.Options, build bu
 		if err != nil {
 			return nil, err
 		}
-		if res, err = w.Run(e, env); err != nil {
+		pend, err := w.Start(e, env)
+		if err != nil {
 			return nil, err
 		}
+		if observe == nil {
+			pend.DropRecords()
+		}
+		if err := e.Run(); err != nil {
+			return nil, err
+		}
+		res = pend.Result()
 		return res.Trace.Records(), nil
 	})
 	if err != nil {
@@ -116,7 +127,7 @@ func runOne(seed int64, label string, shards int, observe *obs.Options, build bu
 	}
 	pt := Point{
 		Label:   label,
-		Metrics: core.Compute(res.Trace, res.Moved, res.ExecTime),
+		Metrics: res.Metrics(),
 		Errors:  res.Errors,
 	}
 	if ob != nil {

@@ -93,16 +93,21 @@ func (l *Log) sortSegments() {
 	})
 }
 
-// Validate checks segment sanity (positive lengths, finite times with
-// end ≥ start, non-negative offsets with no int64 overflow at the end)
-// and, when the recognized per-rank counters are
-// present, cross-checks them against the segment list: operation counts
-// and byte totals must match exactly, so a log whose trace was truncated
-// relative to its counters is rejected.
+// maxLogSeconds is the latest segment time a log may carry: about 292
+// years, the range of sim.Time in nanoseconds. Epoch timestamps fit.
+const maxLogSeconds = float64(sim.MaxTime / sim.Second)
+
+// Validate checks segment sanity (positive lengths whose total fits in
+// int64, finite times with 0 ≤ start ≤ end ≤ maxLogSeconds, non-negative
+// offsets with no int64 overflow at the end) and, when the recognized
+// per-rank counters are present, cross-checks them against the segment
+// list: operation counts and byte totals must match exactly, so a log
+// whose trace was truncated relative to its counters is rejected.
 func (l *Log) Validate() error {
 	if len(l.Segments) == 0 {
 		return fmt.Errorf("ingest: log has no segments")
 	}
+	var total int64
 	for i, s := range l.Segments {
 		switch {
 		case s.Length <= 0:
@@ -115,7 +120,12 @@ func (l *Log) Validate() error {
 			return fmt.Errorf("ingest: segment %d: non-finite interval [%g, %g]", i, s.Start, s.End)
 		case s.Start < 0 || s.End < s.Start:
 			return fmt.Errorf("ingest: segment %d: bad interval [%g, %g]", i, s.Start, s.End)
+		case s.End > maxLogSeconds:
+			return fmt.Errorf("ingest: segment %d: end %gs is past the simulated clock's range (%gs)", i, s.End, maxLogSeconds)
+		case s.Length > math.MaxInt64-total:
+			return fmt.Errorf("ingest: segment %d: total length overflows int64", i)
 		}
+		total += s.Length
 	}
 	type key struct {
 		rank int64

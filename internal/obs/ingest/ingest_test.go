@@ -52,6 +52,8 @@ func TestValidateRejectsBadSegments(t *testing.T) {
 		{Rank: 0, File: "f", Length: 1, Start: 0, End: math.NaN()},
 		{Rank: 0, File: "f", Length: 1, Start: 0, End: math.Inf(1)},
 		{Rank: 0, File: "f", Offset: 9223372036854775800, Length: 4096, End: 1}, // end overflows
+		{Rank: 0, File: "f", Length: 1, End: 1e10},                              // past sim.Time's range
+		{Rank: 0, File: "f", Length: math.MaxInt64, End: 1},                     // total length overflows
 	}
 	good := Segment{Rank: 0, File: "f", Length: 1, End: 1}
 	for i, s := range cases {

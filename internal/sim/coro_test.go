@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"bps/internal/shardtest"
 )
 
 // procLog is a Tracer that records the process lifecycle hooks in the
@@ -108,7 +110,7 @@ func runRecovering(e *Engine) (r any) {
 // TestShardProcPanicPropagates checks that a panic in a process body
 // inside a sharded window comes out of Run carrying its original value.
 func TestShardProcPanicPropagates(t *testing.T) {
-	for _, w := range testWorkerCounts(t) {
+	for _, w := range shardtest.WorkerCounts(t, 2, 3, 4, 8) {
 		e := panickingEngine(w)
 		if r := runRecovering(e); r != errBoom {
 			t.Fatalf("workers=%d: Run panicked with %v, want %v", w, r, errBoom)

@@ -3,26 +3,11 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"reflect"
-	"strconv"
 	"testing"
-)
 
-// testWorkerCounts mirrors the testbed package's helper: the worker
-// counts compared against a 1-worker run, overridable to a single
-// count via BPS_TEST_SHARDS (CI's shard matrix).
-func testWorkerCounts(t *testing.T) []int {
-	t.Helper()
-	if s := os.Getenv("BPS_TEST_SHARDS"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 1 {
-			t.Fatalf("BPS_TEST_SHARDS=%q: want a positive integer", s)
-		}
-		return []int{n}
-	}
-	return []int{2, 3, 4, 8}
-}
+	"bps/internal/shardtest"
+)
 
 // TestShardClassicDomainNoops pins the classic collapse: without
 // EnableSharding, NewDomain hands back domain 0 and SetDomain is a
@@ -265,7 +250,7 @@ func shardTopologySignature(t *testing.T, seed int64, workers int) []string {
 // programs, the observable execution is a pure function of the model —
 // bit-identical for every worker count.
 func TestShardRandomTopologyWorkerInvariance(t *testing.T) {
-	counts := testWorkerCounts(t)
+	counts := shardtest.WorkerCounts(t, 2, 3, 4, 8)
 	for seed := int64(1); seed <= 8; seed++ {
 		base := shardTopologySignature(t, seed, 1)
 		for _, w := range counts {

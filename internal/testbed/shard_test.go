@@ -1,37 +1,28 @@
 package testbed
 
 import (
-	"os"
 	"reflect"
-	"strconv"
 	"testing"
 
+	"bps/internal/shardtest"
 	"bps/internal/sim"
 	"bps/internal/workload"
 )
 
-// shardWorkerCounts returns the worker counts the invariance tests
-// compare against a 1-worker run: {2, 4, 8} by default, or the single
-// count in BPS_TEST_SHARDS (how CI's shard matrix pins one cell per
-// job).
-func shardWorkerCounts(t *testing.T) []int {
-	t.Helper()
-	if s := os.Getenv("BPS_TEST_SHARDS"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 1 {
-			t.Fatalf("BPS_TEST_SHARDS=%q: want a positive integer", s)
-		}
-		return []int{n}
-	}
-	return []int{2, 4, 8}
-}
-
 // runShardedSeq runs one small shared-file sequential-read cluster on a
 // sharded engine with the given worker count and returns its result.
 func runShardedSeq(t *testing.T, workers int, spec ClusterSpec) workload.Result {
+	return runSeq(t, workers, spec, false)
+}
+
+// runSeq is runShardedSeq with a choice of engine (workers 0 is the
+// classic one) and of dropping the records (Pending.DropRecords).
+func runSeq(t *testing.T, workers int, spec ClusterSpec, drop bool) workload.Result {
 	t.Helper()
 	e := sim.NewEngine(42)
-	e.EnableSharding(workers)
+	if workers > 0 {
+		e.EnableSharding(workers)
+	}
 	defer e.Shutdown()
 	env, err := NewSharedFileEnv(e, spec, 1<<28)
 	if err != nil {
@@ -44,14 +35,41 @@ func runShardedSeq(t *testing.T, workers int, spec ClusterSpec) workload.Result 
 		RecordSize:      64 << 10,
 		StartOffset:     func(pid int) int64 { return int64(pid) << 21 },
 	}
-	res, err := w.Run(e, env)
+	pend, err := w.Start(e, env)
 	if err != nil {
+		t.Fatalf("start (workers=%d): %v", workers, err)
+	}
+	if drop {
+		pend.DropRecords()
+	}
+	if err := e.Run(); err != nil {
 		t.Fatalf("run (workers=%d): %v", workers, err)
 	}
+	res := pend.Result()
 	if res.Errors != 0 {
 		t.Fatalf("workers=%d: %d access errors", workers, res.Errors)
 	}
 	return res
+}
+
+// TestDropRecordsMatchesKept checks the record-free path against the
+// records on the classic engine and on sharded ones, where each client
+// domain feeds its own accumulator and Result merges them: no record is
+// kept, and the metrics equal core.Compute over the kept records.
+func TestDropRecordsMatchesKept(t *testing.T) {
+	spec := ClusterSpec{Servers: 4, Media: SSD, Clients: 8}
+	for _, k := range append([]int{0, 1}, shardtest.WorkerCounts(t, 2, 4, 8)...) {
+		kept, free := runSeq(t, k, spec, false), runSeq(t, k, spec, true)
+		if n := free.Trace.Len(); n != 0 {
+			t.Errorf("workers=%d: %d records kept after DropRecords", k, n)
+		}
+		if kept.Trace.Len() == 0 {
+			t.Fatalf("workers=%d: no records", k)
+		}
+		if got, want := free.Metrics(), kept.Metrics(); got != want {
+			t.Errorf("workers=%d: record-free metrics %+v, from records %+v", k, got, want)
+		}
+	}
 }
 
 // TestShardedWorkerCountInvariant pins the tentpole guarantee: a sharded
@@ -67,7 +85,7 @@ func TestShardedWorkerCountInvariant(t *testing.T) {
 	if base.Moved == 0 {
 		t.Fatalf("degenerate run: no bytes moved")
 	}
-	for _, k := range shardWorkerCounts(t) {
+	for _, k := range shardtest.WorkerCounts(t, 2, 4, 8) {
 		got := runShardedSeq(t, k, spec)
 		if !reflect.DeepEqual(base, got) {
 			t.Errorf("workers=%d diverged from workers=1:\n  base: ExecTime=%v Moved=%d records=%d\n  got:  ExecTime=%v Moved=%d records=%d",

@@ -34,12 +34,17 @@ func (r Record) Duration() sim.Time { return r.End - r.Start }
 func (r Record) Bytes() int64 { return r.Blocks * BlockSize }
 
 // BlocksOf converts a byte count to whole 512-byte blocks, rounding up:
-// a 1-byte access still occupies one block on a block device.
+// a 1-byte access still occupies one block on a block device. It
+// rounds without adding to bytes, so it cannot overflow.
 func BlocksOf(bytes int64) int64 {
 	if bytes <= 0 {
 		return 0
 	}
-	return (bytes + BlockSize - 1) / BlockSize
+	n := bytes / BlockSize
+	if bytes%BlockSize != 0 {
+		n++
+	}
+	return n
 }
 
 // Collector accumulates the records of a single process (paper step 1).
@@ -48,6 +53,13 @@ func BlocksOf(bytes int64) int64 {
 type Collector struct {
 	pid     int64
 	records []Record
+	sink    Sink
+}
+
+// Sink consumes accesses as they complete instead of keeping them.
+// core.Accumulator implements it to compute B and T online.
+type Sink interface {
+	Add(blocks int64, start, end sim.Time)
 }
 
 // NewCollector returns a collector for the given process ID.
@@ -58,8 +70,16 @@ func NewCollector(pid int64) *Collector {
 // PID returns the process ID the collector records for.
 func (c *Collector) PID() int64 { return c.pid }
 
-// Record appends one access.
+// StreamTo hands every later access to s instead of keeping it, so a
+// run whose records nobody reads costs no record buffer.
+func (c *Collector) StreamTo(s Sink) { c.sink = s }
+
+// Record appends one access, or passes it to the sink when one is set.
 func (c *Collector) Record(blocks int64, start, end sim.Time) {
+	if c.sink != nil {
+		c.sink.Add(blocks, start, end)
+		return
+	}
 	c.records = append(c.records, Record{PID: c.pid, Blocks: blocks, Start: start, End: end})
 }
 

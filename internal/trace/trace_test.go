@@ -16,6 +16,7 @@ func TestBlocksOf(t *testing.T) {
 		bytes, want int64
 	}{
 		{0, 0}, {-5, 0}, {1, 1}, {511, 1}, {512, 1}, {513, 2}, {4096, 8},
+		{math.MaxInt64, math.MaxInt64/512 + 1},
 	}
 	for _, c := range cases {
 		if got := BlocksOf(c.bytes); got != c.want {

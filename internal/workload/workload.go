@@ -11,6 +11,7 @@ package workload
 import (
 	"fmt"
 
+	"bps/internal/core"
 	"bps/internal/fsim"
 	"bps/internal/ioreq"
 	"bps/internal/middleware"
@@ -129,6 +130,18 @@ type Result struct {
 	Trace    *trace.Global // gathered application-access records
 	Moved    int64         // file-system-level bytes moved
 	Errors   int           // failed application accesses
+
+	online *core.Accumulator // set when the run dropped its records
+}
+
+// Metrics returns the run's measurements: core.Compute over the
+// gathered trace or, when the run dropped its records (see
+// Pending.DropRecords), the same values from its online accumulator.
+func (r Result) Metrics() core.Metrics {
+	if r.online != nil {
+		return r.online.Metrics(r.Moved, r.ExecTime)
+	}
+	return core.Compute(r.Trace, r.Moved, r.ExecTime)
 }
 
 // Runner is a workload that can execute on an engine against an Env. The
@@ -151,10 +164,26 @@ type Starter interface {
 type Pending struct {
 	label      string
 	env        Env
+	eng        *sim.Engine
 	collectors []*trace.Collector
 	errs       []int
 	startedAt  sim.Time
 	doneAts    []sim.Time // per-process completion times (sharding-safe)
+
+	// online holds one accumulator per engine domain once DropRecords
+	// is called; nil keeps every record.
+	online []core.Accumulator
+}
+
+// DropRecords makes the run keep no records: every process feeds its
+// accesses, as they complete, to the accumulator of the engine domain
+// it runs in, and Result merges those once the engine has drained.
+// Within a domain accesses complete in time order, so each accumulator
+// takes its amortised O(1) in-order path. Result's Trace is then
+// empty and its Metrics come from the accumulators. Call it after
+// Start and before the engine runs.
+func (p *Pending) DropRecords() {
+	p.online = make([]core.Accumulator, p.eng.NumDomains())
 }
 
 // Result assembles the workload's measurements. Call it only after the
@@ -172,20 +201,33 @@ func (p *Pending) Result() Result {
 			doneAt = t
 		}
 	}
-	return Result{
+	res := Result{
 		Label:    p.label,
 		ExecTime: doneAt - p.startedAt,
 		Trace:    trace.Gather(p.collectors...),
 		Moved:    p.env.Moved(),
 		Errors:   nerr,
 	}
+	if p.online != nil {
+		acc := p.online[0]
+		for i := 1; i < len(p.online); i++ {
+			acc.Merge(&p.online[i])
+		}
+		res.online = &acc
+	}
+	return res
 }
 
 // track wraps process idx's body so the pending records its completion
-// time. Each process owns its slot, so tracking is race-free when
-// processes run in different domains; Result takes the max.
+// time and, with records dropped, streams its collector into its
+// domain's accumulator. Each process owns its slot and each domain its
+// accumulator, so both are race-free when processes run in different
+// domains; Result takes the max and the merge.
 func (p *Pending) track(idx int, body func(*sim.Proc)) func(*sim.Proc) {
 	return func(proc *sim.Proc) {
+		if p.online != nil {
+			p.collectors[idx].StreamTo(&p.online[proc.DomainID()])
+		}
 		body(proc)
 		if proc.Now() > p.doneAts[idx] {
 			p.doneAts[idx] = proc.Now()
@@ -201,6 +243,7 @@ func newPending(e *sim.Engine, label string, env Env, procs int) *Pending {
 	return &Pending{
 		label:      label,
 		env:        env,
+		eng:        e,
 		collectors: make([]*trace.Collector, procs),
 		errs:       make([]int, procs),
 		startedAt:  e.Now(),

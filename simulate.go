@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 
-	"bps/internal/core"
 	"bps/internal/device"
 	"bps/internal/experiments"
 	"bps/internal/faults"
@@ -56,9 +55,10 @@ type Storage struct {
 	// paper's "pure" concurrency setup).
 	SharedFile bool
 
-	// FaultEvery, when nonzero on a local stack, fails every Nth device
-	// access after it has consumed its full service time — the paper's
-	// §III.A non-successful accesses, which still count in B.
+	// FaultEvery, when nonzero, fails every Nth device access after it
+	// has consumed its full service time — the paper's §III.A
+	// non-successful accesses, which still count in B. Only local stacks
+	// model it (Servers == 0); cluster stacks reject a non-zero value.
 	FaultEvery uint64
 
 	// FaultRate, when positive, degrades the whole stack with a
@@ -246,13 +246,17 @@ func SimulateConcurrentApps(cfg RunConfig, apps ...AppSpec) (combined RunReport,
 // run lifecycle, experiments.Simulate. Every simulated entry point
 // passes through here. cached reports whether the entry point models
 // the client cache; where it does not (or on a local stack) a non-zero
-// cache knob is an error rather than silently ignored. Sharding
-// partitions the simulation by I/O server, so it needs a cluster stack;
-// negative Shards means GOMAXPROCS.
+// cache knob is an error rather than silently ignored; FaultEvery is
+// likewise an error on a cluster stack, whose devices it cannot reach.
+// Sharding partitions the simulation by I/O server, so it needs a
+// cluster stack; negative Shards means GOMAXPROCS.
 func run(cfg RunConfig, cached bool, body func(e *sim.Engine) ([]Record, error)) (*Observer, error) {
 	s := cfg.Storage
 	if r := s.FaultRate; math.IsNaN(r) || r < 0 || r > 1 {
 		return nil, fmt.Errorf("bps: FaultRate %v outside [0,1]", r)
+	}
+	if s.FaultEvery != 0 && s.Servers > 0 {
+		return nil, fmt.Errorf("bps: FaultEvery is modelled only on a local stack (Storage.Servers == 0); use FaultRate on a cluster")
 	}
 	if (s.ClientCacheBytes != 0 || s.ClientCacheReadAhead != 0) && (!cached || s.Servers == 0) {
 		return nil, fmt.Errorf("bps: the client cache is modelled only by SimulateSequentialRead and SimulateNoncontiguousRead on a cluster stack")
@@ -284,7 +288,7 @@ func runWorkload(cfg RunConfig, cached bool, w workload.Runner, build func(e *si
 		return RunReport{}, err
 	}
 	return RunReport{
-		Metrics:     core.Compute(res.Trace, res.Moved, res.ExecTime),
+		Metrics:     res.Metrics(),
 		Records:     res.Trace.Records(),
 		Errors:      res.Errors,
 		Obs:         ob,
